@@ -169,35 +169,51 @@ impl CorruptChannel {
         self.spec
     }
 
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(&self, s: &FlightState, a: &DlAction) -> Option<FlightState> {
+    /// The deterministic transition, in place: once `a` is known to be
+    /// enabled, asks `choose(1)` and, unless it declines, applies `a` to
+    /// `s`. Returns `false` with `s` untouched otherwise. The one home of
+    /// this channel's transition logic: `next` and `step_in_place` both
+    /// run it.
+    fn apply(
+        &self,
+        s: &mut FlightState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
         match a {
             DlAction::SendPkt(d, p) if *d == self.dir => {
-                let mut t = s.clone();
-                let overflow = t.in_flight.len() >= self.spec.capacity as usize;
-                if !overflow && !self.spec.dropped(s.sends) {
-                    t.in_flight.push(*p);
+                if choose(1).is_none() {
+                    return false;
                 }
-                t.sends += 1;
-                Some(t)
+                let overflow = s.in_flight.len() >= self.spec.capacity as usize;
+                if !overflow && !self.spec.dropped(s.sends) {
+                    s.in_flight.push(*p);
+                }
+                s.sends += 1;
+                true
             }
             // Non-FIFO: any in-flight packet is deliverable; the first
             // match is removed (delivered at most once — no duplication).
             DlAction::ReceivePkt(d, p) if *d == self.dir => {
                 match s.in_flight.iter().position(|q| q == p) {
-                    Some(k) => {
-                        let mut t = s.clone();
-                        t.in_flight.remove(k);
-                        Some(t)
+                    Some(k) if choose(1).is_some() => {
+                        s.in_flight.remove(k);
+                        true
                     }
-                    None => None,
+                    _ => false,
                 }
             }
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => Some(s.clone()),
-            DlAction::Crash(x) if *x == self.dir.sender() => Some(s.clone()),
-            _ => None,
+            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => choose(1).is_some(),
+            DlAction::Crash(x) if *x == self.dir.sender() => choose(1).is_some(),
+            _ => false,
         }
+    }
+
+    /// The unique post-state of `a` from `s`, or `None` when `a` is not
+    /// enabled.
+    fn next(&self, s: &FlightState, a: &DlAction) -> Option<FlightState> {
+        let mut t = s.clone();
+        self.apply(&mut t, a, &mut |_| Some(0)).then_some(t)
     }
 }
 
@@ -234,6 +250,23 @@ impl Automaton for CorruptChannel {
 
     fn step_first(&self, s: &FlightState, a: &DlAction) -> Option<FlightState> {
         self.next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut FlightState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        self.apply(s, a, choose)
+    }
+
+    fn is_enabled(&self, s: &FlightState, a: &DlAction) -> bool {
+        // Every input is enabled; a receive needs its packet in flight.
+        match a {
+            DlAction::ReceivePkt(d, p) if *d == self.dir => s.in_flight.contains(p),
+            _ => self.classify(a).is_some(),
+        }
     }
 
     fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {

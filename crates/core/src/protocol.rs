@@ -18,10 +18,12 @@
 //! * **bounded headers / k-boundedness** (§5.3.1, §8.1) — declared in
 //!   [`ProtocolInfo`] and exercised by the header-impossibility engine.
 
+use std::ops::ControlFlow;
+
 use ioa::action::ActionClass;
 use ioa::automaton::Automaton;
 
-use crate::action::{Dir, DlAction, Station};
+use crate::action::{Dir, DlAction, Packet, Station};
 use crate::equivalence::MsgRenaming;
 
 /// The §5.1 signature of a transmitting automaton for `(t, r)`.
@@ -178,6 +180,17 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     fn step_first(&self, s: &A::State, a: &DlAction) -> Option<A::State> {
         self.inner.step_first(s, a)
     }
+    fn step_in_place(
+        &self,
+        s: &mut A::State,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        self.inner.step_in_place(s, a, choose)
+    }
+    fn is_enabled(&self, s: &A::State, a: &DlAction) -> bool {
+        self.inner.is_enabled(s, a)
+    }
     fn enabled_local(&self, s: &A::State) -> Vec<DlAction> {
         self.inner.enabled_local(s)
     }
@@ -193,6 +206,55 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     }
     fn task_count(&self) -> usize {
         self.inner.task_count()
+    }
+}
+
+/// [`Automaton::step_in_place`] for a deterministic automaton whose
+/// transition is already computed: `next` is the unique successor of
+/// `(state, action)`, or `None` when the action is disabled. Asks
+/// `choose(1)` and, unless it declines, moves `next` into `state`.
+///
+/// The protocol zoo builds `next` by cloning only the station's own
+/// state, so a composed step through this helper never copies the other
+/// components.
+pub fn step_deterministic<S>(
+    next: Option<S>,
+    state: &mut S,
+    choose: &mut dyn FnMut(usize) -> Option<usize>,
+) -> bool {
+    match next {
+        Some(t) if choose(1).is_some() => {
+            *state = t;
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Clone-free [`Automaton::is_enabled`] for a station automaton that
+/// follows the zoo conventions (see `dl-protocols`): every input is
+/// enabled, and a locally-controlled action is enabled iff
+/// [`Automaton::for_each_enabled_local`] offers it up to the packet uid,
+/// which executors stamp and transitions ignore.
+pub fn station_is_enabled<A>(automaton: &A, s: &A::State, a: &DlAction) -> bool
+where
+    A: Automaton<Action = DlAction> + ?Sized,
+{
+    match automaton.classify(a) {
+        None => false,
+        Some(ActionClass::Input) => true,
+        Some(_) => {
+            let wanted = a.with_packet_uid(Packet::UNSTAMPED);
+            automaton
+                .for_each_enabled_local(s, &mut |e| {
+                    if e.with_packet_uid(Packet::UNSTAMPED) == wanted {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+                .is_break()
+        }
     }
 }
 

@@ -10,17 +10,17 @@
 //! than as a silent throughput loss in `explore/deep`.
 //!
 //! Measured on the current engine (debug build, E9 at channel capacity
-//! 2, 594 states / 3042 edges, one worker): plain ≈ 26.9k allocations
-//! (~45 per state, ~8.8 per edge — successor construction dominates,
+//! 2, 594 states / 3042 edges, one worker): plain ≈ 25.8k allocations
+//! (~43 per state, ~8.5 per edge — successor construction dominates,
 //! since every candidate E9 state owns channel `VecDeque`s and observer
-//! sets), packed ≈ 39.7k (~13.0 per edge — each admitted state adds one
+//! sets), packed ≈ 38.5k (~12.7 per edge — each admitted state adds one
 //! boxed canonical encoding, and expansion decodes frontier states back
 //! into their heap-carrying form). The ceilings are ~1.5× those
 //! measurements so only asymptotic regressions trip them, not allocator
 //! or libstd noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dl_channels::{LossMode, LossyFifoChannel};
 use dl_core::action::{Dir, DlAction, Msg};
@@ -29,32 +29,55 @@ use dl_explore::ParallelExplorer;
 use ioa::composition::Compose2;
 use ioa::Automaton;
 
-/// Counts every allocation (and growth reallocation); frees are not
-/// interesting for a regression bound.
+/// Counts every allocation (and growth reallocation) made on an *armed*
+/// thread; frees are not interesting for a regression bound. Arming is
+/// per thread, so allocations of sibling tests running concurrently in
+/// this binary never land in a measurement.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the thread-locals may already be gone while a thread
+    // tears down.
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` with counting armed on the calling thread; returns its result
+/// and the number of allocations it made on this thread.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
 
 type Sys = Compose2<
     Compose2<dl_protocols::AbpTransmitter, dl_protocols::AbpReceiver>,
@@ -116,15 +139,9 @@ fn allocs_for_one_run(packed: bool) -> (u64, usize, u64) {
         }
     };
     let _ = explore(start.clone());
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let report = explore(start);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let (report, allocs) = counting(|| explore(start));
     assert!(report.holds(), "ABP must be safe crash-free");
-    (
-        after - before,
-        report.states_visited,
-        report.edges_expanded(),
-    )
+    (allocs, report.states_visited, report.edges_expanded())
 }
 
 #[test]

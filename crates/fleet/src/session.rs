@@ -7,8 +7,11 @@
 //! tables, while everything mutable — the composed state, scratch
 //! buffers, RNG stream, script cursor, monitor — is owned by the
 //! [`SessionStep`], built **lean** so no execution trace is retained.
-//! A session's resident cost is therefore a few hundred bytes
-//! (see [`SessionOutcome::resident_bytes`]) no matter how long it runs.
+//! A session core's resident cost is therefore ≈5 kB (see
+//! [`SessionOutcome::resident_bytes`]) no matter how long it runs; the
+//! online monitor's value tables come on top, reported separately
+//! ([`SessionOutcome::monitor_bytes`], ≈300 kB at peak), since they grow
+//! with the distinct packet values a session sends.
 //! The one exception is the stabilizing variant, which records its trace
 //! (suffix-mode judgment needs the whole behavior) and therefore pays
 //! trace-proportional memory — the corrupted-start fault class buys its

@@ -3,41 +3,57 @@
 //! One fuzz exec used to clone the full enabled-action set, a per-class
 //! filter vector, and the full successor list on **every step** — tens of
 //! allocations per step, hundreds of thousands per exec. The scratch-
-//! buffer runner reduced the steady state to the unavoidable residue:
-//! constructing successor states (channel states own heap collections),
-//! recording the execution, and the report's output vectors. This test
-//! pins that residue with a counting global allocator so a future change
-//! that quietly reintroduces per-step cloning fails loudly here rather
-//! than as a silent throughput loss in the benches.
+//! buffer runner removed the buffers; stepping in place
+//! (`Automaton::step_in_place`) removed the successor list and the
+//! by-value rebuild of every component state. What remains is the
+//! unavoidable residue: the one clone of the recorded frontier state,
+//! the station state that moves, channel and execution `Vec` growth, and
+//! the report's output vectors. This test pins that residue with a
+//! counting global allocator so a future change that quietly
+//! reintroduces per-step cloning fails loudly here rather than as a
+//! silent throughput loss in the benches.
 //!
-//! The ceiling is deliberately generous (~1.5× current measurements) so it
-//! only trips on asymptotic regressions, not allocator or libstd noise.
+//! The ceiling is ~1.5× current measurements so it only trips on
+//! asymptotic regressions, not allocator or libstd noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dl_fuzz::{ExecConfig, Gene, Genome};
 
-/// Counts every allocation (and growth reallocation); frees are not
-/// interesting for a regression bound.
+/// Counts every allocation (and growth reallocation) made on an *armed*
+/// thread; frees are not interesting for a regression bound. Arming is
+/// per thread, so allocations of sibling tests running concurrently in
+/// this binary never land in a measurement.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the thread-locals may already be gone while a thread
+    // tears down.
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -45,15 +61,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs `f` with counting armed on the calling thread; returns its result
+/// and the number of allocations it made on this thread.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
+
 fn allocs_for_one_exec(target_name: &str, genome: &Genome, cfg: &ExecConfig) -> (u64, usize) {
     let t = dl_fuzz::target(target_name).expect("known target");
     // Warm up once so lazily-initialized runtime state (thread-locals,
     // hasher seeds) is excluded from the measurement.
     let _ = (t.run)(genome, cfg);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let outcome = (t.run)(genome, cfg);
-    let after = ALLOCS.load(Ordering::Relaxed);
-    (after - before, outcome.steps)
+    let (outcome, allocs) = counting(|| (t.run)(genome, cfg));
+    (allocs, outcome.steps)
 }
 
 #[test]
@@ -78,14 +102,14 @@ fn fuzz_exec_allocations_stay_bounded() {
     };
     let cfg = ExecConfig::default();
 
-    // Measured on the scratch-buffer core (debug build): abp ≈ 721 allocs
-    // over 74 steps; go-back-8 ≈ 10_013 and selective-repeat-4 ≈ 10_068
-    // over the full 800-step budget — ≈ 10–13 per step, all from successor
-    // state construction, execution recording, and report assembly.
+    // Measured with in-place stepping (debug build): abp 420 allocations
+    // over 74 steps; go-back-8 3_548 and selective-repeat-4 3_594 over
+    // the full 800-step budget — 4.4–5.7 per step. The clone-and-pick
+    // runner before it made 720, 9_667 and 9_722 (12–13 per step).
     for (name, ceiling) in [
-        ("abp", 1_500u64),
-        ("go-back-8", 16_000),
-        ("selective-repeat-4", 16_000),
+        ("abp", 630u64),
+        ("go-back-8", 5_300),
+        ("selective-repeat-4", 5_400),
     ] {
         let (allocs, steps) = allocs_for_one_exec(name, &genome, &cfg);
         eprintln!("{name}: {allocs} allocations over {steps} steps");
@@ -100,10 +124,10 @@ fn fuzz_exec_allocations_stay_bounded() {
              back into the runner?"
         );
         // Also bound the per-step rate: the clone-based executor sat at
-        // dozens per step, the scratch-buffer core at a handful.
+        // dozens per step, the in-place core at about five.
         let per_step = allocs as f64 / steps as f64;
         assert!(
-            per_step < 20.0,
+            per_step < 8.5,
             "{name}: {per_step:.1} allocations per step ({allocs}/{steps})"
         );
     }

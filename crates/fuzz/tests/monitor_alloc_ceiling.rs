@@ -12,37 +12,60 @@
 //! `alloc_regression.rs` uses for the execution core.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dl_core::action::{Dir, DlAction, Msg, Packet};
 use dl_core::spec::monitor::TraceMonitor;
 
-/// Counts every allocation (and growth reallocation); frees are not
-/// interesting for a regression bound.
+/// Counts every allocation (and growth reallocation) made on an *armed*
+/// thread; frees are not interesting for a regression bound. Arming is
+/// per thread, so allocations of sibling tests running concurrently in
+/// this binary never land in a measurement.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the thread-locals may already be gone while a thread
+    // tears down.
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` with counting armed on the calling thread; returns its result
+/// and the number of allocations it made on this thread.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
 
 /// One chunk of recurring-value traffic: a window of `width` packets per
 /// direction goes into transit, then drains in FIFO order. The same
@@ -83,17 +106,17 @@ fn monitor_steady_state_allocates_nothing_and_stays_byte_stable() {
     }
     let bytes_before = mon.approx_bytes();
     let actions_before = mon.actions_observed();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
 
     // 400 more chunks ≈ 10⁵ further actions, 100× more total sends than
     // the live window ever holds.
-    for _ in 0..400 {
-        mon.observe_all(&chunk);
-        assert_eq!(mon.in_transit_count(Dir::TR), 0);
-        assert_eq!(mon.in_transit_count(Dir::RT), 0);
-    }
+    let ((), allocs) = counting(|| {
+        for _ in 0..400 {
+            mon.observe_all(&chunk);
+            assert_eq!(mon.in_transit_count(Dir::TR), 0);
+            assert_eq!(mon.in_transit_count(Dir::RT), 0);
+        }
+    });
 
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
     let actions = mon.actions_observed() - actions_before;
     eprintln!(
         "monitor steady state: {allocs} allocations over {actions} actions, \

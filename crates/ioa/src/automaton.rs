@@ -84,7 +84,7 @@ pub trait Automaton {
     /// early when `f` breaks. Returns whatever the last `f` call returned.
     ///
     /// This is the **single override point** for allocation-free
-    /// transitions: [`successors_into`](Automaton::successors_into),
+    /// successor enumeration: [`successors_into`](Automaton::successors_into),
     /// [`is_enabled`](Automaton::is_enabled) and
     /// [`step_first`](Automaton::step_first) are all derived from it, so an
     /// automaton that overrides it (the protocol zoo, the channels, and
@@ -119,6 +119,46 @@ pub trait Automaton {
             out.push(s);
             ControlFlow::Continue(())
         });
+    }
+
+    /// Takes one step in place: replaces `state` with the successor of
+    /// `(state, action)` that `choose` picks.
+    ///
+    /// The contract every override keeps:
+    ///
+    /// * `choose` is called at most once, with the successor count
+    ///   `n ≥ 1`, **before** anything is mutated; it returns an index
+    ///   `< n` (the position in [`successors`](Automaton::successors)
+    ///   order) or `None` to decline the step.
+    /// * When the action is disabled (`choose` is never called) or
+    ///   `choose` declines, the method returns `false` and `state` is
+    ///   left bit-identical.
+    /// * Otherwise `state` becomes `successors(state, action)[i]` and the
+    ///   method returns `true`.
+    ///
+    /// This default goes through `successors`, so every automaton gets
+    /// the method for free; executors that resolve one successor per step
+    /// (the session runner) call it so that an override — the channels,
+    /// the protocol zoo and [`Compose2`](crate::composition::Compose2) —
+    /// can mutate only the components the action touches instead of
+    /// rebuilding the whole state by value.
+    fn step_in_place(
+        &self,
+        state: &mut Self::State,
+        action: &Self::Action,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        let mut succs = self.successors(state, action);
+        if succs.is_empty() {
+            return false;
+        }
+        match choose(succs.len()) {
+            Some(i) => {
+                *state = succs.swap_remove(i);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Visits every enabled locally-controlled action in the same order
@@ -287,6 +327,14 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     ) {
         (**self).successors_into(state, action, out);
     }
+    fn step_in_place(
+        &self,
+        state: &mut Self::State,
+        action: &Self::Action,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        (**self).step_in_place(state, action, choose)
+    }
     fn for_each_enabled_local(
         &self,
         state: &Self::State,
@@ -369,6 +417,29 @@ mod tests {
         assert_eq!(s1, 1);
         let s2 = c.step_first(&s1, &Act::Reset).unwrap();
         assert_eq!(s2, 0);
+    }
+
+    #[test]
+    fn default_step_in_place_follows_the_contract() {
+        let c = Counter;
+        let mut s = 1u8;
+        let mut asked = Vec::new();
+        assert!(c.step_in_place(&mut s, &Act::Tick, &mut |n| {
+            asked.push(n);
+            Some(0)
+        }));
+        assert_eq!((s, asked), (2, vec![1]));
+        // Declining leaves the state alone.
+        assert!(!c.step_in_place(&mut s, &Act::Tick, &mut |_| None));
+        assert_eq!(s, 2);
+        // So does forwarding through a reference.
+        assert!(<&Counter as Automaton>::step_in_place(
+            &&c,
+            &mut s,
+            &Act::Reset,
+            &mut |_| Some(0)
+        ));
+        assert_eq!(s, 0);
     }
 
     #[test]

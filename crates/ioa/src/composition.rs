@@ -301,6 +301,38 @@ where
         }
     }
 
+    fn step_in_place(
+        &self,
+        state: &mut Self::State,
+        action: &A,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        // A component outside the action's signature is never touched.
+        // When both take part, the right side's `choose` runs inside the
+        // left's, so the outer `choose` sees `nl·nr` before either side
+        // mutates; its pick `p` splits as `(p / nr, p % nr)` — the
+        // left-outer, right-inner order of `successors`.
+        let in_l = self.left.in_signature(action);
+        let in_r = self.right.in_signature(action);
+        match (in_l, in_r) {
+            (false, false) => false,
+            (true, false) => self.left.step_in_place(&mut state.left, action, choose),
+            (false, true) => self.right.step_in_place(&mut state.right, action, choose),
+            (true, true) => {
+                let right = &mut state.right;
+                self.left.step_in_place(&mut state.left, action, &mut |nl| {
+                    let mut left_pick = None;
+                    self.right.step_in_place(right, action, &mut |nr| {
+                        let p = choose(nl * nr)?;
+                        left_pick = Some(p / nr);
+                        Some(p % nr)
+                    });
+                    left_pick
+                })
+            }
+        }
+    }
+
     fn is_enabled(&self, state: &Self::State, action: &A) -> bool {
         // The cross product is non-empty iff both factors are, so the
         // composite never needs to build a single `Pair` to decide

@@ -97,6 +97,15 @@ where
         self.inner.successors_into(state, action, out);
     }
 
+    fn step_in_place(
+        &self,
+        state: &mut Self::State,
+        action: &Self::Action,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        self.inner.step_in_place(state, action, choose)
+    }
+
     fn for_each_enabled_local(
         &self,
         state: &Self::State,

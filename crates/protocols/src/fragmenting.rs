@@ -28,8 +28,8 @@ use ioa::automaton::{Automaton, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
 use dl_core::protocol::{
-    receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
-    StationAutomaton,
+    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
+    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
 };
 use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
@@ -147,6 +147,19 @@ impl Automaton for FragTransmitter {
 
     fn step_first(&self, s: &FragTxState, a: &DlAction) -> Option<FragTxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut FragTxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &FragTxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &FragTxState) -> Vec<DlAction> {
@@ -323,6 +336,19 @@ impl Automaton for FragReceiver {
 
     fn step_first(&self, s: &FragRxState, a: &DlAction) -> Option<FragRxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut FragRxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &FragRxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &FragRxState) -> Vec<DlAction> {

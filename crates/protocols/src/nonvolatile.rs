@@ -36,8 +36,8 @@ use ioa::automaton::{Automaton, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
 use dl_core::protocol::{
-    receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
-    StationAutomaton,
+    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
+    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
 };
 use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
@@ -153,6 +153,19 @@ impl Automaton for NvTransmitter {
 
     fn step_first(&self, s: &NvTxState, a: &DlAction) -> Option<NvTxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut NvTxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &NvTxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &NvTxState) -> Vec<DlAction> {
@@ -342,6 +355,19 @@ impl Automaton for NvReceiver {
 
     fn step_first(&self, s: &NvRxState, a: &DlAction) -> Option<NvRxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut NvRxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &NvRxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &NvRxState) -> Vec<DlAction> {

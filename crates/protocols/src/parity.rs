@@ -32,8 +32,8 @@ use ioa::automaton::{Automaton, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
 use dl_core::protocol::{
-    receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
-    StationAutomaton,
+    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
+    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
 };
 use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
@@ -159,6 +159,19 @@ impl Automaton for ParityTransmitter {
 
     fn step_first(&self, s: &ParityTxState, a: &DlAction) -> Option<ParityTxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut ParityTxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &ParityTxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &ParityTxState) -> Vec<DlAction> {
@@ -356,6 +369,19 @@ impl Automaton for ParityReceiver {
 
     fn step_first(&self, s: &ParityRxState, a: &DlAction) -> Option<ParityRxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut ParityRxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &ParityRxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &ParityRxState) -> Vec<DlAction> {

@@ -24,8 +24,8 @@ use ioa::automaton::{Automaton, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
 use dl_core::protocol::{
-    receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
-    StationAutomaton,
+    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
+    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
 };
 use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
@@ -117,6 +117,19 @@ impl Automaton for QuirkyTransmitter {
 
     fn step_first(&self, s: &QuirkyTxState, a: &DlAction) -> Option<QuirkyTxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut QuirkyTxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &QuirkyTxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &QuirkyTxState) -> Vec<DlAction> {
@@ -268,6 +281,19 @@ impl Automaton for QuirkyReceiver {
 
     fn step_first(&self, s: &QuirkyRxState, a: &DlAction) -> Option<QuirkyRxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut QuirkyRxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &QuirkyRxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &QuirkyRxState) -> Vec<DlAction> {

@@ -29,8 +29,8 @@ use ioa::automaton::{Automaton, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
 use dl_core::protocol::{
-    receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
-    StationAutomaton,
+    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
+    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
 };
 use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
@@ -209,6 +209,19 @@ impl Automaton for SrTransmitter {
 
     fn step_first(&self, s: &SrTxState, a: &DlAction) -> Option<SrTxState> {
         self.next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut SrTxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(self.next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &SrTxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &SrTxState) -> Vec<DlAction> {
@@ -413,6 +426,19 @@ impl Automaton for SrReceiver {
 
     fn step_first(&self, s: &SrRxState, a: &DlAction) -> Option<SrRxState> {
         self.next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut SrRxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(self.next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &SrRxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &SrRxState) -> Vec<DlAction> {

@@ -22,8 +22,8 @@ use ioa::automaton::{Automaton, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
 use dl_core::protocol::{
-    receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
-    StationAutomaton,
+    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
+    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
 };
 use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
@@ -164,6 +164,19 @@ impl Automaton for SwTransmitter {
 
     fn step_first(&self, s: &SwTxState, a: &DlAction) -> Option<SwTxState> {
         self.next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut SwTxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(self.next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &SwTxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &SwTxState) -> Vec<DlAction> {
@@ -347,6 +360,19 @@ impl Automaton for SwReceiver {
 
     fn step_first(&self, s: &SwRxState, a: &DlAction) -> Option<SwRxState> {
         self.next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut SwRxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(self.next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &SwRxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &SwRxState) -> Vec<DlAction> {

@@ -41,8 +41,8 @@ use ioa::automaton::{Automaton, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
 use dl_core::protocol::{
-    receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
-    StationAutomaton,
+    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
+    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
 };
 use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
@@ -160,6 +160,19 @@ impl Automaton for StabTransmitter {
 
     fn step_first(&self, s: &StabTxState, a: &DlAction) -> Option<StabTxState> {
         self.next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut StabTxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(self.next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &StabTxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &StabTxState) -> Vec<DlAction> {
@@ -358,6 +371,19 @@ impl Automaton for StabReceiver {
 
     fn step_first(&self, s: &StabRxState, a: &DlAction) -> Option<StabRxState> {
         self.next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut StabRxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(self.next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &StabRxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &StabRxState) -> Vec<DlAction> {

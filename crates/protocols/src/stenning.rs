@@ -20,8 +20,8 @@ use ioa::automaton::{Automaton, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
 use dl_core::protocol::{
-    receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
-    StationAutomaton,
+    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
+    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
 };
 use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
@@ -109,6 +109,19 @@ impl Automaton for StenningTransmitter {
 
     fn step_first(&self, s: &StenningTxState, a: &DlAction) -> Option<StenningTxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut StenningTxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &StenningTxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &StenningTxState) -> Vec<DlAction> {
@@ -276,6 +289,19 @@ impl Automaton for StenningReceiver {
 
     fn step_first(&self, s: &StenningRxState, a: &DlAction) -> Option<StenningRxState> {
         Self::next(s, a)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut StenningRxState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        step_deterministic(Self::next(s, a), s, choose)
+    }
+
+    fn is_enabled(&self, s: &StenningRxState, a: &DlAction) -> bool {
+        station_is_enabled(self, s, a)
     }
 
     fn enabled_local(&self, s: &StenningRxState) -> Vec<DlAction> {

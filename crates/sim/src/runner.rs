@@ -169,7 +169,7 @@ pub struct RunReport<S> {
     /// built with [`Runner::with_online_conformance`]).
     pub monitor_nanos: u64,
     /// How many times a reusable scratch buffer (enabled set, task-class
-    /// filter, successor list) outgrew its capacity and reallocated — the
+    /// filter) outgrew its capacity and reallocated — the
     /// steady-state target is a handful of warm-up growths and then zero.
     pub scratch_refills: u64,
 }
@@ -246,30 +246,20 @@ pub struct Runner {
     taken: Vec<Decision>,
 }
 
-/// Reusable per-run buffers: the enabled-action set, the per-task-class
-/// filter, and the successor list are refilled in place every step, so a
-/// steady-state run allocates only when a buffer grows past its
-/// high-water mark. Lives in [`SessionStep`] (the `Runner` itself is not
-/// generic over the system's state type).
-struct Scratch<S> {
-    enabled: Vec<DlAction>,
+/// Reusable per-run buffers: the enabled-action set (each action paired
+/// with its task class) and the per-task-class filter are refilled in
+/// place every step, so a steady-state run allocates only when a buffer
+/// grows past its high-water mark. Successors need no buffer: the taken
+/// one is applied to the session state in place
+/// ([`Automaton::step_in_place`]).
+#[derive(Default)]
+struct Scratch {
+    enabled: Vec<(TaskId, DlAction)>,
     in_class: Vec<DlAction>,
-    succs: Vec<S>,
-    /// Capacity-growth events across all three buffers; deterministic for
-    /// a fixed run (Vec growth is), so it lands in the ledger as a
-    /// counter rather than a gauge.
+    /// Capacity-growth events across both buffers; deterministic for a
+    /// fixed run (Vec growth is), so it lands in the ledger as a counter
+    /// rather than a gauge.
     refills: u64,
-}
-
-impl<S> Default for Scratch<S> {
-    fn default() -> Self {
-        Scratch {
-            enabled: Vec::new(),
-            in_class: Vec::new(),
-            succs: Vec::new(),
-            refills: 0,
-        }
-    }
 }
 
 /// Online conformance state threaded through one run: a streaming
@@ -455,10 +445,10 @@ impl Runner {
 /// A recording session keeps the full [`Execution`] (every action and
 /// post-state) and can produce a [`RunReport`]; a lean session keeps only
 /// the last state and a running length, which is what lets a fleet of
-/// many thousands of sessions cost hundreds of bytes each instead of a
-/// trace allocation storm. Both modes feed the same rolling schedule
-/// digest, so lean runs remain comparable action-for-action against
-/// recorded ones.
+/// many thousands of sessions cost a ≈5 kB session core each (plus the
+/// separately accounted monitor tables) instead of a trace allocation
+/// storm. Both modes feed the same rolling schedule digest, so lean runs
+/// remain comparable action-for-action against recorded ones.
 enum Trace<S> {
     /// Full execution retained (the [`Runner::run`] path).
     Full(Execution<DlAction, S>),
@@ -481,12 +471,33 @@ impl<S: Clone + Eq + std::fmt::Debug> Trace<S> {
         }
     }
 
-    fn push(&mut self, action: DlAction, post: S) {
+    /// Steps the frontier state by `action` through
+    /// [`Automaton::step_in_place`]: a lean trace steps its last state
+    /// directly; a full one clones its last state once, steps the copy
+    /// and records it. Returns `false`, recording nothing, when the
+    /// action is disabled.
+    fn step<M>(
+        &mut self,
+        system: &M,
+        action: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool
+    where
+        M: Automaton<Action = DlAction, State = S>,
+    {
         match self {
-            Trace::Full(e) => e.push_unchecked(action, post),
+            Trace::Full(e) => {
+                let mut post = e.last_state().clone();
+                let stepped = system.step_in_place(&mut post, action, choose);
+                if stepped {
+                    e.push_unchecked(*action, post);
+                }
+                stepped
+            }
             Trace::Tail { last, len } => {
-                *last = post;
-                *len += 1;
+                let stepped = system.step_in_place(last, action, choose);
+                *len += usize::from(stepped);
+                stepped
             }
         }
     }
@@ -567,7 +578,7 @@ where
     digest: u64,
     metrics: Metrics,
     online: Option<OnlineConformance>,
-    scratch: Scratch<M::State>,
+    scratch: Scratch,
     next_task: usize,
     fully_ran: bool,
 }
@@ -603,8 +614,8 @@ where
 
     /// A lean session from the system's first start state: only the
     /// current state is retained (no execution, no behavior), which is
-    /// the fleet configuration — per-session cost stays in the hundreds
-    /// of bytes regardless of run length. Verdicts still flow from the
+    /// the fleet configuration — the session core stays at a few kB
+    /// regardless of run length. Verdicts still flow from the
     /// online monitor and the [`Metrics`]; the rolling
     /// [`SessionStep::digest`] stands in for the schedule.
     ///
@@ -711,7 +722,7 @@ where
                         self.cursor = Cursor::Halted;
                         return false;
                     }
-                    let ok = take(runner, system, trace, digest, a, metrics, online, scratch);
+                    let ok = take(runner, system, trace, digest, a, metrics, online);
                     assert!(ok, "input {a} was not enabled: system is not input-enabled");
                     self.cursor = Cursor::At {
                         step: step + 1,
@@ -865,9 +876,8 @@ where
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let scratch = self.scratch.enabled.capacity() * size_of::<DlAction>()
-            + self.scratch.in_class.capacity() * size_of::<DlAction>()
-            + self.scratch.succs.capacity() * size_of::<M::State>();
+        let scratch = self.scratch.enabled.capacity() * size_of::<(TaskId, DlAction)>()
+            + self.scratch.in_class.capacity() * size_of::<DlAction>();
         let script = std::mem::size_of_val(self.script.steps());
         let metrics = self.metrics.latencies.capacity() * size_of::<u64>()
             + self.metrics.send_step.len() * (size_of::<dl_core::action::Msg>() + 32)
@@ -944,7 +954,7 @@ fn fair_local_step<M>(
     next_task: &mut usize,
     metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
-    scratch: &mut Scratch<M::State>,
+    scratch: &mut Scratch,
 ) -> bool
 where
     M: Automaton<Action = DlAction>,
@@ -952,7 +962,7 @@ where
     scratch.enabled.clear();
     let cap = scratch.enabled.capacity();
     let _ = system.for_each_enabled_local(trace.last_state(), &mut |a| {
-        scratch.enabled.push(a);
+        scratch.enabled.push((system.task_of(&a), a));
         std::ops::ControlFlow::Continue(())
     });
     scratch.refills += u64::from(scratch.enabled.capacity() != cap);
@@ -968,8 +978,8 @@ where
             scratch
                 .enabled
                 .iter()
-                .filter(|a| system.task_of(a) == t)
-                .copied(),
+                .filter(|(task, _)| *task == t)
+                .map(|&(_, a)| a),
         );
         scratch.refills += u64::from(scratch.in_class.capacity() != cap);
         if scratch.in_class.is_empty() {
@@ -977,9 +987,7 @@ where
         }
         let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
         let action = scratch.in_class[pick];
-        let took = take(
-            runner, system, trace, digest, action, metrics, online, scratch,
-        );
+        let took = take(runner, system, trace, digest, action, metrics, online);
         debug_assert!(took, "enabled_local returned a disabled action");
         *next_task = (*next_task + offset + 1) % tasks;
         return took;
@@ -988,8 +996,8 @@ where
 }
 
 /// Takes `action`, stamping a fresh uid if it is an unstamped `send_pkt`,
-/// and resolving successor nondeterminism with the seeded RNG.
-#[allow(clippy::too_many_arguments)]
+/// and resolving successor nondeterminism with the seeded RNG: the one
+/// chosen successor is applied to the session state in place.
 fn take<M>(
     runner: &mut Runner,
     system: &M,
@@ -998,7 +1006,6 @@ fn take<M>(
     mut action: DlAction,
     metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
-    scratch: &mut Scratch<M::State>,
 ) -> bool
 where
     M: Automaton<Action = DlAction>,
@@ -1009,20 +1016,17 @@ where
             runner.next_uid += 1;
         }
     }
-    scratch.succs.clear();
-    let cap = scratch.succs.capacity();
-    system.successors_into(trace.last_state(), &action, &mut scratch.succs);
-    scratch.refills += u64::from(scratch.succs.capacity() != cap);
-    if scratch.succs.is_empty() {
+    let stepped = trace.step(system, &action, &mut |n| {
+        Some(runner.decide(DecisionPoint::Successor, n))
+    });
+    if !stepped {
         return false;
     }
-    let pick = runner.decide(DecisionPoint::Successor, scratch.succs.len());
     metrics.record(&action);
     if let Some(o) = online {
         o.observe(&action);
     }
     *digest = digest_action(*digest, &action);
-    trace.push(action, scratch.succs.swap_remove(pick));
     true
 }
 

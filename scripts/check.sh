@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(toolchain fmt clippy test obs scaling explore-deep monitor-smoke fuzz-smoke fleet-smoke stabilize-smoke alloc differential cross-check bench-smoke)
+STAGES=(toolchain fmt clippy test obs scaling explore-deep monitor-smoke fuzz-smoke fleet-smoke stabilize-smoke alloc differential cross-check bench-smoke perfbench-smoke)
 
 stage_toolchain() {
   # The container pins the toolchain by version, not by channel file
@@ -104,10 +104,12 @@ stage_stabilize_smoke() {
 }
 
 stage_alloc() {
-  # Counting allocator: steady-state allocs per fuzz exec and per
-  # explored edge (both visited-set backends) under the pinned ceilings.
+  # Counting allocator: steady-state allocs per fuzz exec, per explored
+  # edge (both visited-set backends) and per lean fleet-session action
+  # under the pinned ceilings.
   cargo test -q -p dl-fuzz --test alloc_regression
   cargo test -q -p dl-explore --test alloc_ceiling
+  cargo test -q -p dl-fleet --test alloc_per_action
 }
 
 stage_differential() {
@@ -131,6 +133,14 @@ stage_bench_smoke() {
   # Release benches + ledger binaries build without running.
   cargo bench --no-run -q -p dl-bench --bench model_check --bench parallel_explore
   cargo build -q --release -p dl-bench --features obs --bin ledger_run --bin bench_gate
+}
+
+stage_perfbench_smoke() {
+  # The repository benchmark (`perfbench/`, a standalone package) at
+  # smoke scale, release: all three workloads run through the same code
+  # as the measured runs, pinning the fleet digest folds and the explore
+  # counts, and every metric BENCHMARK.json lists is emitted.
+  cargo test --release --manifest-path perfbench/Cargo.toml
 }
 
 list_stages() {
