@@ -43,12 +43,6 @@ impl DlModule {
     pub fn weak() -> Self {
         DlModule { weak: true }
     }
-
-    /// `true` for the weak variant.
-    #[must_use]
-    pub fn is_weak(&self) -> bool {
-        self.weak
-    }
 }
 
 impl ScheduleModule for DlModule {

@@ -904,7 +904,8 @@ impl TraceMonitor {
 
     /// The physical-layer module verdict (`PL^{dir}` or `PL-FIFO^{dir}`)
     /// on the observed prefix. Identical to
-    /// [`crate::spec::physical::PlModule::check`].
+    /// [`ScheduleModule::check`](ioa::schedule_module::ScheduleModule::check)
+    /// on [`crate::spec::physical::PlModule`].
     #[must_use]
     pub fn pl_verdict(&self, dir: Dir, fifo: bool) -> Verdict {
         let d = &self.dirs[dir_index(dir)];
@@ -935,7 +936,8 @@ impl TraceMonitor {
 
     /// The data-link module verdict (`DL` when `weak == false`, `WDL` when
     /// `weak == true`) on the observed prefix. Identical to
-    /// [`crate::spec::datalink::DlModule::check`].
+    /// [`ScheduleModule::check`](ioa::schedule_module::ScheduleModule::check)
+    /// on [`crate::spec::datalink::DlModule`].
     #[must_use]
     pub fn dl_verdict(&self, weak: bool, kind: TraceKind) -> Verdict {
         // Hypotheses: well-formedness (transmitter direction preferred, as

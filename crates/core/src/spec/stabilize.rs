@@ -36,7 +36,7 @@
 
 use crate::action::{Dir, DlAction, Msg};
 use crate::spec::monitor::TraceMonitor;
-use ioa::schedule_module::{TraceKind, Verdict, Violation};
+use ioa::schedule_module::{TraceKind, Verdict};
 
 /// Where `dir` sits in little fixed arrays.
 fn dir_index(dir: Dir) -> usize {
@@ -212,13 +212,6 @@ impl SuffixMonitor {
         self.resets
     }
 
-    /// The inner monitor judging the current suffix (verdict indices are
-    /// suffix-local, offset by the priming stub).
-    #[must_use]
-    pub fn suffix_monitor(&self) -> &TraceMonitor {
-        &self.inner
-    }
-
     /// Concludes suffix-mode conformance.
     ///
     /// With [`TraceKind::Complete`], stabilizing liveness is included:
@@ -260,14 +253,6 @@ impl SuffixMonitor {
             resets: self.resets,
             violation,
         }
-    }
-
-    /// The first violation the *current suffix* would report online, in
-    /// suffix-local coordinates (primer stub included), for callers that
-    /// want the reason string.
-    #[must_use]
-    pub fn suffix_violation(&self) -> Option<&Violation> {
-        self.inner.online_dl_violation(self.full_dl)
     }
 }
 

@@ -86,7 +86,7 @@ pub trait ExploreBackend<S: Clone>: Clone {
 }
 
 /// The default backend: full structs in a [`StateTable`], hashed by the
-/// deterministic [`SharedHasher`]. This is byte-for-byte the storage the
+/// deterministic `SharedHasher`. This is byte-for-byte the storage the
 /// engine always used, so reports (including `arena_bytes`) are pinned.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlainBackend;

@@ -21,8 +21,9 @@
 //!   `TraceMonitor` sidecar for first-violation abort and per-session
 //!   complete-trace verdicts. Immutable protocol/channel tables are
 //!   separated from per-session mutable state, so a session core costs
-//!   ≈5 kB (E13: 5056 bytes at 10⁶ sessions), plus the monitor's value
-//!   tables, reported separately and ≈300 kB at peak.
+//!   ≈5 kB by its `resident_bytes` estimate (E13: 5056 bytes at 10⁶
+//!   sessions; a lower bound, ≈1 kB short of the live heap), plus the
+//!   monitor's value tables, reported separately and ≈300 kB at peak.
 //! * [`engine`] — [`run_fleet`]: contiguous per-worker id ranges,
 //!   chunked materialization (peak memory is bounded by
 //!   [`FleetSpec::chunk`], not fleet size), round-robin batch stepping.

@@ -8,7 +8,8 @@
 //! buffers, RNG stream, script cursor, monitor — is owned by the
 //! [`SessionStep`], built **lean** so no execution trace is retained.
 //! A session core's resident cost is therefore ≈5 kB (see
-//! [`SessionOutcome::resident_bytes`]) no matter how long it runs; the
+//! [`SessionOutcome::resident_bytes`], a lower bound about 1 kB short of
+//! the live heap) no matter how long it runs; the
 //! online monitor's value tables come on top, reported separately
 //! ([`SessionOutcome::monitor_bytes`], ≈300 kB at peak), since they grow
 //! with the distinct packet values a session sends.

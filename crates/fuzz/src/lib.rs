@@ -16,7 +16,7 @@
 //!   every remaining executor choice through `dl-sim`'s decision points.
 //!   Executions are **pure functions of the genome** — no hidden
 //!   randomness — so every result replays.
-//! * [`target`] — all ten protocols of the zoo, each composed with two
+//! * [`mod@target`] — all ten protocols of the zoo, each composed with two
 //!   [`FaultyChannel`](dl_channels::FaultyChannel)s and executed under an
 //!   online conformance monitor (`monitor_pl = false`: the fault knobs
 //!   violate the physical layer on purpose; the quarry is data-link
@@ -33,7 +33,7 @@
 //! * [`fleet`] — the multi-threaded campaign loop: [`fuzz`] spawns
 //!   workers, each mutating corpus picks or generating fresh genomes,
 //!   until an execution / wall-clock budget or the first violation.
-//! * [`shrink`] — ddmin over the gene sequence plus numeric
+//! * [`mod@shrink`] — ddmin over the gene sequence plus numeric
 //!   simplification, preserving the violated property; every emitted
 //!   [`Counterexample`] is replay-verified (two fresh executions,
 //!   byte-identical schedules).

@@ -4,7 +4,7 @@
 //! Each target is a monomorphized `fn(&Genome, &ExecConfig) -> ExecOutcome`
 //! that builds the §5.2 composition `hide_Φ(protocol ∥ FaultyChannel²)`,
 //! runs the genome's plan through an online-monitored
-//! [`Runner`](dl_sim::Runner), and extracts per-step coverage keys.
+//! [`Runner`], and extracts per-step coverage keys.
 //!
 //! Monitoring posture: executions run with `monitor_pl = false` (the
 //! duplication fault knob violates PL3 *by design*, and aborting on the

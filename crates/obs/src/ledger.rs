@@ -99,13 +99,6 @@ impl RunLedger {
         self.spans.insert(name.to_string(), nanos);
     }
 
-    /// Folds a [`crate::span::Spans`] total map in.
-    pub fn spans_from(&mut self, totals: &BTreeMap<&'static str, u64>) {
-        for (name, nanos) in totals {
-            self.span(name, *nanos);
-        }
-    }
-
     /// The ledger as a JSON tree (schema version 1).
     #[must_use]
     pub fn to_json_value(&self) -> Json {

@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(toolchain fmt clippy test obs scaling explore-deep monitor-smoke fuzz-smoke fleet-smoke stabilize-smoke alloc differential cross-check bench-smoke perfbench-smoke)
+STAGES=(toolchain fmt clippy doc test obs scaling explore-deep monitor-smoke fuzz-smoke fleet-smoke stabilize-smoke alloc differential cross-check bench-smoke perfbench-smoke)
 
 stage_toolchain() {
   # The container pins the toolchain by version, not by channel file
@@ -38,6 +38,12 @@ stage_fmt() {
 stage_clippy() {
   cargo clippy --workspace --all-targets -- -D warnings
   cargo clippy --workspace --all-targets --features dl-bench/obs -- -D warnings
+}
+
+stage_doc() {
+  # Rustdoc with warnings denied: a broken or ambiguous intra-doc link
+  # (e.g. one left dangling by a deleted item) fails the gate.
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 }
 
 stage_test() {
@@ -106,10 +112,11 @@ stage_stabilize_smoke() {
 stage_alloc() {
   # Counting allocator: steady-state allocs per fuzz exec, per explored
   # edge (both visited-set backends) and per lean fleet-session action
-  # under the pinned ceilings.
+  # under the pinned ceilings; a lean session's live heap against its
+  # `resident_bytes` lower bound.
   cargo test -q -p dl-fuzz --test alloc_regression
   cargo test -q -p dl-explore --test alloc_ceiling
-  cargo test -q -p dl-fleet --test alloc_per_action
+  cargo test -q -p dl-fleet --test alloc_per_action --test resident_bytes
 }
 
 stage_differential() {
