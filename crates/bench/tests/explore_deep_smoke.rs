@@ -3,7 +3,9 @@
 //! goes through the exact `explore_deep_n` path the published ≥10⁶-state
 //! `explore/deep` ledger entry uses, pinning the packed backend's counts
 //! and the lock-free visited set's thread-count independence without the
-//! full run's wall-clock cost.
+//! full run's wall-clock cost. Edges, dedup hits, layers and arena bytes
+//! are pinned absolutely too, so an enumeration change that moves them
+//! alike at every thread count cannot pass unnoticed.
 
 use dl_bench::ledger_runs::explore_deep_n;
 
@@ -13,9 +15,12 @@ fn scaled_deep_run_is_thread_count_independent() {
     assert_eq!(oracle.engine, "explore");
     assert_eq!(oracle.run_id, "deep");
     assert_eq!(oracle.counters["states"], 9129);
+    assert_eq!(oracle.counters["edges"], 54_212);
+    assert_eq!(oracle.counters["dedup_hits"], 45_084);
+    assert_eq!(oracle.counters["layers"], 42);
+    assert_eq!(oracle.counters["arena_bytes"], 819_200);
     assert_eq!(oracle.counters["violation"], 0);
     assert_eq!(oracle.counters["truncated"], 0);
-    assert!(oracle.counters["arena_bytes"] > 0);
 
     for threads in [2, 4] {
         let run = explore_deep_n(5, 3, 9_000, threads, 0);

@@ -63,89 +63,137 @@ impl PackedCodec for FlightState {
     }
 }
 
-fn send_successors(
-    s: &FlightState,
-    p: &Packet,
+/// Which in-flight packet a `receive_pkt` may take.
+#[derive(Clone, Copy)]
+enum Delivery {
+    /// Only the oldest one ([`LossyFifoChannel`]).
+    Head,
+    /// Any of them ([`ReorderChannel`]).
+    Any,
+}
+
+/// Position of the packet a receive of `p` takes, if it is deliverable.
+fn deliverable(s: &FlightState, p: &Packet, delivery: Delivery) -> Option<usize> {
+    match delivery {
+        Delivery::Head => (s.in_flight.first() == Some(p)).then_some(0),
+        Delivery::Any => s.in_flight.iter().position(|q| q == p),
+    }
+}
+
+/// The shape shared by the simulated channels: direction, loss mode,
+/// optional capacity and delivery rule.
+#[derive(Clone, Copy)]
+struct Flight {
+    dir: Dir,
     mode: LossMode,
     capacity: Option<usize>,
-) -> Vec<FlightState> {
-    let full = capacity.is_some_and(|c| s.in_flight.len() >= c);
-    // The send counter only drives EveryNth; leaving it untouched in the
-    // other modes keeps the reachable state space finite for exploration.
-    let count = matches!(mode, LossMode::EveryNth(_));
-    let keep = {
-        let mut t = s.clone();
-        if count {
-            t.sends += 1;
-        }
-        if !full {
-            t.in_flight.push(*p);
-        }
-        t
-    };
-    let drop = {
-        let mut t = s.clone();
-        if count {
-            t.sends += 1;
-        }
-        t
-    };
-    match mode {
-        LossMode::None => vec![keep],
-        LossMode::Nondet => vec![keep, drop],
-        LossMode::EveryNth(n) => {
-            debug_assert!(n >= 2, "EveryNth(n) requires n >= 2");
-            if (s.sends + 1).is_multiple_of(n) {
-                vec![drop]
-            } else {
-                vec![keep]
+    delivery: Delivery,
+}
+
+impl Flight {
+    /// The transition, in place — the one home of the simulated
+    /// channels' keep/drop/capacity logic. Once `a` is known to be
+    /// enabled, asks `choose` for the successor count (a send under
+    /// [`LossMode::Nondet`] has two: `0` keeps the packet, `1` drops it)
+    /// and applies the pick; returns `false` with `s` untouched when `a`
+    /// is disabled or `choose` declines.
+    fn apply(
+        self,
+        s: &mut FlightState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        match a {
+            DlAction::SendPkt(d, p) if *d == self.dir => {
+                let n = if self.mode == LossMode::Nondet { 2 } else { 1 };
+                let Some(pick) = choose(n) else {
+                    return false;
+                };
+                let keep = match self.mode {
+                    LossMode::None => true,
+                    LossMode::Nondet => pick == 0,
+                    LossMode::EveryNth(k) => {
+                        debug_assert!(k >= 2, "EveryNth(n) requires n >= 2");
+                        !(s.sends + 1).is_multiple_of(k)
+                    }
+                };
+                // The send counter only drives EveryNth; leaving it
+                // untouched in the other modes keeps the reachable state
+                // space finite for exploration.
+                if matches!(self.mode, LossMode::EveryNth(_)) {
+                    s.sends += 1;
+                }
+                // A kept send arriving at a full channel is dropped too.
+                if keep && self.capacity.is_none_or(|c| s.in_flight.len() < c) {
+                    s.in_flight.push(*p);
+                }
+                true
             }
+            DlAction::ReceivePkt(d, p) if *d == self.dir => {
+                match deliverable(s, p, self.delivery) {
+                    Some(k) if choose(1).is_some() => {
+                        s.in_flight.remove(k);
+                        true
+                    }
+                    _ => false,
+                }
+            }
+            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => choose(1).is_some(),
+            DlAction::Crash(x) if *x == self.dir.sender() => choose(1).is_some(),
+            _ => false,
+        }
+    }
+
+    /// Visits the successors of `(s, a)` in pick order, each a clone of
+    /// `s` stepped by [`apply`](Self::apply) — so `successors` and
+    /// `try_for_each_successor` enumerate exactly what `step_in_place`
+    /// picks.
+    fn for_each_successor(
+        self,
+        s: &FlightState,
+        a: &DlAction,
+        f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let (mut i, mut n) = (0, 1);
+        while i < n {
+            let mut t = s.clone();
+            if !self.apply(&mut t, a, &mut |count| {
+                n = count;
+                Some(i)
+            }) {
+                break;
+            }
+            f(t)?;
+            i += 1;
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn successors(self, s: &FlightState, a: &DlAction) -> Vec<FlightState> {
+        let mut out = Vec::new();
+        let _ = self.for_each_successor(s, a, &mut |t| {
+            out.push(t);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// Clone-free enabledness: every input is enabled; a receive needs
+    /// its packet deliverable.
+    fn is_enabled(self, s: &FlightState, a: &DlAction) -> bool {
+        match a {
+            DlAction::ReceivePkt(d, p) if *d == self.dir => {
+                deliverable(s, p, self.delivery).is_some()
+            }
+            _ => channel_classify(self.dir, a).is_some(),
         }
     }
 }
 
-/// Visitor twin of [`send_successors`]: same states, same order, no `Vec`.
-fn try_send_successors(
-    s: &FlightState,
-    p: &Packet,
-    mode: LossMode,
-    capacity: Option<usize>,
-    f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let full = capacity.is_some_and(|c| s.in_flight.len() >= c);
-    let count = matches!(mode, LossMode::EveryNth(_));
-    let keep = |s: &FlightState| {
-        let mut t = s.clone();
-        if count {
-            t.sends += 1;
-        }
-        if !full {
-            t.in_flight.push(*p);
-        }
-        t
-    };
-    let drop = |s: &FlightState| {
-        let mut t = s.clone();
-        if count {
-            t.sends += 1;
-        }
-        t
-    };
-    match mode {
-        LossMode::None => f(keep(s)),
-        LossMode::Nondet => {
-            f(keep(s))?;
-            f(drop(s))
-        }
-        LossMode::EveryNth(n) => {
-            debug_assert!(n >= 2, "EveryNth(n) requires n >= 2");
-            if (s.sends + 1).is_multiple_of(n) {
-                f(drop(s))
-            } else {
-                f(keep(s))
-            }
-        }
-    }
+/// Puts a stepped flight back to `from`, reusing its packet buffer.
+fn restore_flight(s: &mut FlightState, from: &FlightState) {
+    s.in_flight.clone_from(&from.in_flight);
+    s.sends = from.sends;
 }
 
 /// A lossy FIFO channel: solves `PL-FIFO` (delivers the head of the queue).
@@ -196,6 +244,15 @@ impl LossyFifoChannel {
     pub fn mode(&self) -> LossMode {
         self.mode
     }
+
+    fn flight(&self) -> Flight {
+        Flight {
+            dir: self.dir,
+            mode: self.mode,
+            capacity: self.capacity,
+            delivery: Delivery::Head,
+        }
+    }
 }
 
 impl Automaton for LossyFifoChannel {
@@ -211,22 +268,7 @@ impl Automaton for LossyFifoChannel {
     }
 
     fn successors(&self, s: &FlightState, a: &DlAction) -> Vec<FlightState> {
-        match a {
-            DlAction::SendPkt(d, p) if *d == self.dir => {
-                send_successors(s, p, self.mode, self.capacity)
-            }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => match s.in_flight.first() {
-                Some(q) if q == p => {
-                    let mut t = s.clone();
-                    t.in_flight.remove(0);
-                    vec![t]
-                }
-                _ => vec![],
-            },
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => vec![s.clone()],
-            DlAction::Crash(x) if *x == self.dir.sender() => vec![s.clone()],
-            _ => vec![],
-        }
+        self.flight().successors(s, a)
     }
 
     fn try_for_each_successor(
@@ -235,22 +277,24 @@ impl Automaton for LossyFifoChannel {
         a: &DlAction,
         f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        match a {
-            DlAction::SendPkt(d, p) if *d == self.dir => {
-                try_send_successors(s, p, self.mode, self.capacity, f)
-            }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => match s.in_flight.first() {
-                Some(q) if q == p => {
-                    let mut t = s.clone();
-                    t.in_flight.remove(0);
-                    f(t)
-                }
-                _ => ControlFlow::Continue(()),
-            },
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => f(s.clone()),
-            DlAction::Crash(x) if *x == self.dir.sender() => f(s.clone()),
-            _ => ControlFlow::Continue(()),
-        }
+        self.flight().for_each_successor(s, a, f)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut FlightState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        self.flight().apply(s, a, choose)
+    }
+
+    fn restore(&self, s: &mut FlightState, from: &FlightState, _a: &DlAction) {
+        restore_flight(s, from);
+    }
+
+    fn is_enabled(&self, s: &FlightState, a: &DlAction) -> bool {
+        self.flight().is_enabled(s, a)
     }
 
     fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {
@@ -323,6 +367,15 @@ impl ReorderChannel {
     pub fn dir(&self) -> Dir {
         self.dir
     }
+
+    fn flight(&self) -> Flight {
+        Flight {
+            dir: self.dir,
+            mode: self.mode,
+            capacity: self.capacity,
+            delivery: Delivery::Any,
+        }
+    }
 }
 
 impl Automaton for ReorderChannel {
@@ -338,24 +391,7 @@ impl Automaton for ReorderChannel {
     }
 
     fn successors(&self, s: &FlightState, a: &DlAction) -> Vec<FlightState> {
-        match a {
-            DlAction::SendPkt(d, p) if *d == self.dir => {
-                send_successors(s, p, self.mode, self.capacity)
-            }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => {
-                match s.in_flight.iter().position(|q| q == p) {
-                    Some(k) => {
-                        let mut t = s.clone();
-                        t.in_flight.remove(k);
-                        vec![t]
-                    }
-                    None => vec![],
-                }
-            }
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => vec![s.clone()],
-            DlAction::Crash(x) if *x == self.dir.sender() => vec![s.clone()],
-            _ => vec![],
-        }
+        self.flight().successors(s, a)
     }
 
     fn try_for_each_successor(
@@ -364,24 +400,24 @@ impl Automaton for ReorderChannel {
         a: &DlAction,
         f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        match a {
-            DlAction::SendPkt(d, p) if *d == self.dir => {
-                try_send_successors(s, p, self.mode, self.capacity, f)
-            }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => {
-                match s.in_flight.iter().position(|q| q == p) {
-                    Some(k) => {
-                        let mut t = s.clone();
-                        t.in_flight.remove(k);
-                        f(t)
-                    }
-                    None => ControlFlow::Continue(()),
-                }
-            }
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => f(s.clone()),
-            DlAction::Crash(x) if *x == self.dir.sender() => f(s.clone()),
-            _ => ControlFlow::Continue(()),
-        }
+        self.flight().for_each_successor(s, a, f)
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut FlightState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        self.flight().apply(s, a, choose)
+    }
+
+    fn restore(&self, s: &mut FlightState, from: &FlightState, _a: &DlAction) {
+        restore_flight(s, from);
+    }
+
+    fn is_enabled(&self, s: &FlightState, a: &DlAction) -> bool {
+        self.flight().is_enabled(s, a)
     }
 
     fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {

@@ -103,6 +103,41 @@ impl PackedCodec for ObserverState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WdlObserver;
 
+impl WdlObserver {
+    /// The transition, in place: for an action in the signature (both
+    /// are inputs, so always enabled) asks `choose(1)` and, unless it
+    /// declines, records the action in `s`. Returns `false` with `s`
+    /// untouched otherwise. The one home of the observer's transition
+    /// logic: `successors` and `step_in_place` both run it.
+    fn apply(
+        &self,
+        s: &mut ObserverState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        if self.classify(a).is_none() || choose(1).is_none() {
+            return false;
+        }
+        match a {
+            DlAction::SendMsg(m) => {
+                s.sent.insert(*m);
+            }
+            DlAction::ReceiveMsg(m) => {
+                if s.flag.is_none() {
+                    if s.received.contains(m) {
+                        s.flag = Some(SafetyFlag::Duplicate(*m));
+                    } else if !s.sent.contains(m) {
+                        s.flag = Some(SafetyFlag::Phantom(*m));
+                    }
+                }
+                s.received.insert(*m);
+            }
+            _ => {}
+        }
+        true
+    }
+}
+
 impl Automaton for WdlObserver {
     type Action = DlAction;
     type State = ObserverState;
@@ -120,23 +155,42 @@ impl Automaton for WdlObserver {
 
     fn successors(&self, s: &ObserverState, a: &DlAction) -> Vec<ObserverState> {
         let mut t = s.clone();
+        if self.apply(&mut t, a, &mut |_| Some(0)) {
+            vec![t]
+        } else {
+            vec![]
+        }
+    }
+
+    fn step_in_place(
+        &self,
+        s: &mut ObserverState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        self.apply(s, a, choose)
+    }
+
+    fn is_enabled(&self, _s: &ObserverState, a: &DlAction) -> bool {
+        // Only inputs, so enabled exactly on the signature — no clone.
+        self.classify(a).is_some()
+    }
+
+    fn restore(&self, s: &mut ObserverState, from: &ObserverState, a: &DlAction) {
+        // A step adds at most one message to one set and can only set the
+        // flag, so undoing it is one removal — neither set is rebuilt.
         match a {
-            DlAction::SendMsg(m) => {
-                t.sent.insert(*m);
+            DlAction::SendMsg(m) if !from.sent.contains(m) => {
+                s.sent.remove(m);
             }
             DlAction::ReceiveMsg(m) => {
-                if t.flag.is_none() {
-                    if t.received.contains(m) {
-                        t.flag = Some(SafetyFlag::Duplicate(*m));
-                    } else if !t.sent.contains(m) {
-                        t.flag = Some(SafetyFlag::Phantom(*m));
-                    }
+                if !from.received.contains(m) {
+                    s.received.remove(m);
                 }
-                t.received.insert(*m);
+                s.flag = from.flag;
             }
-            _ => return vec![],
+            _ => {}
         }
-        vec![t]
     }
 
     fn enabled_local(&self, _s: &ObserverState) -> Vec<DlAction> {

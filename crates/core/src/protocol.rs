@@ -188,6 +188,9 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     ) -> bool {
         self.inner.step_in_place(s, a, choose)
     }
+    fn restore(&self, s: &mut A::State, from: &A::State, a: &DlAction) {
+        self.inner.restore(s, from, a);
+    }
     fn is_enabled(&self, s: &A::State, a: &DlAction) -> bool {
         self.inner.is_enabled(s, a)
     }

@@ -8,12 +8,22 @@
 //! coordinated through the lock-free [`LayerFilter`]. The store grows
 //! only at the layer barrier, where the engine merges worker-local
 //! overflow claims with the drained filter, sorts by minimal claim key,
-//! and admits in that deterministic order. Workers reuse per-worker
-//! scratch buffers and enumerate transitions through the
-//! allocation-free [`Automaton`] callbacks, so a steady-state expansion
-//! allocates only for genuinely new states (plus, on the packed
-//! backend, one encoding buffer per discovered edge).
+//! and admits in that deterministic order.
+//!
+//! Each worker expands an edge in place: it steps one scratch copy of
+//! the parent with [`Automaton::step_in_place`] (pick `i` is
+//! `successors()[i]`), probes the store and the filter with the
+//! *borrowed* result (the packed backend encodes into one reused
+//! per-worker buffer), and puts the scratch back with
+//! [`Automaton::restore`]. An owned representation is built only for a
+//! state the filter publishes or overflows, and the worker that builds it
+//! also evaluates the properties on the state it holds and records any
+//! failure, so the barrier picks the first violator in claim-key order
+//! without decoding anything. A steady-state expansion therefore
+//! allocates only for genuinely new states, plus whatever the
+//! automaton's own in-place steps allocate.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,10 +43,24 @@ const NO_LINK: u32 = u32::MAX;
 /// The claim representation a backend's store circulates.
 type ReprOf<B, S> = <<B as ExploreBackend<S>>::Store as StateStore<S>>::Repr;
 
-/// What one worker hands back from a layer expansion: its local stats
-/// and the claims the lock-free filter could not decide (merged at the
-/// barrier).
-type WorkerOutcome<R> = (WorkerStats, Vec<PendingState<R>>);
+/// A new state some property fails on, as recorded by the worker that
+/// built its representation: its hash, its representation and the
+/// index of the first failing property. Equal states share a verdict,
+/// so which claim recorded it does not matter.
+struct Violator<R> {
+    hash: u64,
+    repr: R,
+    property: usize,
+}
+
+/// What one worker hands back from a layer expansion: its local stats,
+/// the claims the lock-free filter could not decide (merged at the
+/// barrier), and the violators it found.
+struct WorkerOutcome<R> {
+    stats: WorkerStats,
+    overflow: Vec<PendingState<R>>,
+    violators: Vec<Violator<R>>,
+}
 
 #[derive(Default, Clone, Copy)]
 struct WorkerStats {
@@ -225,28 +249,31 @@ where
         // never touch this.
         let mut tstates: Vec<TP::State> = Vec::new();
 
-        for state in starts {
-            let (hash, repr) = store.absorb(state);
-            if store.lookup(hash, &repr).is_none() {
+        // Admit the start states, then check them in admission order.
+        let mut buf = Vec::new();
+        let mut start_failed = Vec::new();
+        for state in &starts {
+            let (hash, key) = store.probe(state, &mut buf);
+            if store.lookup(hash, key).is_none() {
+                let repr = store.to_repr(key);
                 store.intern_new(hash, repr);
                 parents.push(NO_LINK);
                 action_idx.push(NO_LINK);
                 tstates.push(trace.start());
+                start_failed.push(first_failing(properties, state));
             }
         }
-
-        // Check properties on start states first, in admission order.
-        for (i, tstate) in tstates.iter().enumerate() {
-            let state = store.load(i as u32);
-            let failed =
-                first_violation(properties, &state).or_else(|| trace_violation(trace, tstate));
+        for (i, (failed, tstate)) in start_failed.into_iter().zip(&tstates).enumerate() {
+            let failed = failed
+                .map(|p| properties[p].name().to_string())
+                .or_else(|| trace_violation(trace, tstate));
             if let Some(property) = failed {
                 return ExploreReport {
                     states_visited: store.len(),
                     truncation: None,
                     violation: Some(Violation {
                         path: vec![],
-                        state: state.into_owned(),
+                        state: store.load(i as u32).into_owned(),
                         property,
                     }),
                     quiescent_states: 0,
@@ -298,26 +325,30 @@ where
             // barrier merge stays exact).
             let mut filter: LayerFilter<ReprOf<B, M::State>> =
                 LayerFilter::new(frontier * 8 + 64, self.shards);
+            let expand =
+                || self.expand_worker(&store, layer_end, chunk, &counter, &filter, properties);
 
-            let (stats, overflow) = if fan_out == 1 {
-                self.expand_worker(&store, layer_end, chunk, &counter, &filter)
+            let WorkerOutcome {
+                stats,
+                overflow,
+                violators,
+            } = if fan_out == 1 {
+                expand()
             } else {
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..fan_out)
-                        .map(|_| {
-                            scope.spawn(|| {
-                                self.expand_worker(&store, layer_end, chunk, &counter, &filter)
-                            })
-                        })
-                        .collect();
-                    let mut stats = WorkerStats::default();
-                    let mut overflow = Vec::new();
+                    let handles: Vec<_> = (0..fan_out).map(|_| scope.spawn(expand)).collect();
+                    let mut all = WorkerOutcome {
+                        stats: WorkerStats::default(),
+                        overflow: Vec::new(),
+                        violators: Vec::new(),
+                    };
                     for handle in handles {
-                        let (s, mut o) = handle.join().expect("explore worker panicked");
-                        stats = stats.merge(s);
-                        overflow.append(&mut o);
+                        let mut one = handle.join().expect("explore worker panicked");
+                        all.stats = all.stats.merge(one.stats);
+                        all.overflow.append(&mut one.overflow);
+                        all.violators.append(&mut one.violators);
                     }
-                    (stats, overflow)
+                    all
                 })
             };
             quiescent += stats.quiescent;
@@ -326,17 +357,19 @@ where
             // Merge overflow claims into the drained filter entries. The
             // hash index is only ever *probed* (never iterated), and
             // min/set-union are order-independent, so the merged entry
-            // set and keys do not depend on scheduling.
+            // set and keys do not depend on scheduling. Most layers have
+            // no overflow, and then build no index either.
             let mut entries = filter.drain();
             let mut merged_dups = 0u64;
-            {
+            if !overflow.is_empty() {
                 let mut index: HashMap<u64, Vec<usize>> = HashMap::with_capacity(entries.len());
                 for (i, entry) in entries.iter().enumerate() {
                     index.entry(entry.hash).or_default().push(i);
                 }
                 for pending in overflow {
                     let slots = index.entry(pending.hash).or_default();
-                    if let Some(&i) = slots.iter().find(|&&i| entries[i].repr == pending.repr) {
+                    let same = |&&i: &&usize| entries[i].repr.borrow() == pending.repr.borrow();
+                    if let Some(&i) = slots.iter().find(same) {
                         merged_dups += 1;
                         if pending.key < entries[i].key {
                             entries[i].key = pending.key;
@@ -367,6 +400,7 @@ where
             });
 
             let admitted_start = store.len();
+            let mut trace_violator: Option<(usize, String)> = None;
             cached_parent = NO_LINK;
             for PendingState { key, hash, repr } in entries {
                 // Resolve the admitting action only when a real trace
@@ -385,28 +419,39 @@ where
                         &parent_actions[key.action as usize],
                     )
                 };
+                if trace_violator.is_none() {
+                    trace_violator =
+                        trace_violation(trace, &tstate).map(|name| (store.len(), name));
+                }
                 store.intern_new(hash, repr);
                 parents.push(key.parent);
                 action_idx.push(key.action);
                 tstates.push(tstate);
             }
 
-            // Check properties on the admitted states in deterministic
-            // (claim-key) order; the first violator is the counterexample
-            // for every thread count. State properties outrank the trace
-            // property on the same state, again deterministically.
-            for (idx, tstate) in tstates.iter().enumerate().skip(admitted_start) {
-                let state = store.load(idx as u32);
-                let failed =
-                    first_violation(properties, &state).or_else(|| trace_violation(trace, tstate));
-                if let Some(property) = failed {
-                    violation = Some(Violation {
-                        path: self.reconstruct_path(&store, &parents, &action_idx, idx),
-                        state: state.into_owned(),
-                        property,
-                    });
-                    break;
-                }
+            // Ids follow claim-key order, so the violator with the least
+            // id is the first one for every thread count. A state
+            // property outranks the trace property on the same state. A
+            // violator cut by the state budget has no id and is skipped,
+            // like every state the budget cuts.
+            let state_violator = violators
+                .iter()
+                .filter_map(|v| {
+                    let id = store.lookup(v.hash, v.repr.borrow())?;
+                    Some((id as usize, 0, v.property))
+                })
+                .min()
+                .map(|(id, rank, p)| (id, rank, properties[p].name().to_string()));
+            let first_violator = state_violator
+                .into_iter()
+                .chain(trace_violator.map(|(id, name)| (id, 1, name)))
+                .min_by_key(|&(id, rank, _)| (id, rank));
+            if let Some((idx, _, property)) = first_violator {
+                violation = Some(Violation {
+                    path: self.reconstruct_path(&store, &parents, &action_idx, idx),
+                    state: store.load(idx as u32).into_owned(),
+                    property,
+                });
             }
             barrier_nanos += barrier_sw.elapsed_nanos();
             if violation.is_some() {
@@ -431,11 +476,13 @@ where
     }
 
     /// One worker's share of a layer expansion: steal frontier chunks,
-    /// enumerate each state's actions and successors through the
-    /// allocation-free callbacks, dedup against the frozen store, claim
-    /// genuinely new discoveries in the lock-free layer filter. Claims
-    /// the filter cannot decide go to the returned overflow list, merged
-    /// exactly at the barrier.
+    /// enumerate each state's actions, and expand every edge in place —
+    /// step a scratch copy of the parent by pick `i`, dedup the borrowed
+    /// successor against the frozen store, claim genuinely new
+    /// discoveries in the lock-free layer filter (building their owned
+    /// representation and property verdict only then), and restore the
+    /// scratch. Claims the filter cannot decide go to the returned
+    /// overflow list, merged exactly at the barrier.
     fn expand_worker(
         &self,
         store: &B::Store,
@@ -443,10 +490,16 @@ where
         chunk: usize,
         counter: &AtomicUsize,
         filter: &LayerFilter<ReprOf<B, M::State>>,
+        properties: &[&dyn Property<M::State>],
     ) -> WorkerOutcome<ReprOf<B, M::State>> {
         let mut stats = WorkerStats::default();
         let mut overflow = Vec::new();
+        let mut violators = Vec::new();
         let mut actions: Vec<M::Action> = Vec::new();
+        // The copy of the current parent every edge steps and restores,
+        // and the packed backend's encoding buffer.
+        let mut scratch: Option<M::State> = None;
+        let mut buf: Vec<u8> = Vec::new();
         loop {
             let begin = counter.fetch_add(chunk, Ordering::Relaxed);
             if begin >= layer_end {
@@ -454,42 +507,73 @@ where
             }
             let end = (begin + chunk).min(layer_end);
             for idx in begin..end {
-                let state = store.load(idx as u32);
-                self.enumerate_actions(&state, &mut actions);
+                let parent = store.load(idx as u32);
+                self.enumerate_actions(&parent, &mut actions);
                 if actions.is_empty() {
                     stats.quiescent += 1;
                     continue;
                 }
+                match &mut scratch {
+                    Some(s) => s.clone_from(&parent),
+                    None => scratch = Some(M::State::clone(&parent)),
+                }
+                let work = scratch.as_mut().expect("scratch holds the parent");
                 for (ai, action) in actions.iter().enumerate() {
-                    let mut si = 0u32;
-                    let _ = self
-                        .automaton
-                        .try_for_each_successor(&state, action, &mut |succ| {
-                            stats.edges += 1;
-                            let key = ClaimKey {
-                                parent: idx as u32,
-                                action: ai as u32,
-                                succ: si,
-                            };
-                            si += 1;
-                            let (hash, repr) = store.absorb(succ);
-                            if store.lookup(hash, &repr).is_some() {
-                                stats.duplicates += 1;
-                            } else {
-                                match filter.claim(hash, key, repr) {
-                                    Claimed::New => {}
-                                    Claimed::Duplicate => stats.duplicates += 1,
-                                    Claimed::Overflow(repr) => {
-                                        overflow.push(PendingState { key, hash, repr });
+                    // Pick `si` of `n` is `successors()[si]`; the count is
+                    // learned from the first pick.
+                    let (mut si, mut n) = (0usize, 1usize);
+                    while si < n {
+                        let stepped = self.automaton.step_in_place(work, action, &mut |count| {
+                            n = count;
+                            Some(si)
+                        });
+                        if !stepped {
+                            break;
+                        }
+                        stats.edges += 1;
+                        let key = ClaimKey {
+                            parent: idx as u32,
+                            action: ai as u32,
+                            succ: si as u32,
+                        };
+                        let (hash, probe) = store.probe(work, &mut buf);
+                        if store.lookup(hash, probe).is_some() {
+                            stats.duplicates += 1;
+                        } else {
+                            let claimed = filter.claim(
+                                hash,
+                                key,
+                                |r| r.borrow() == probe,
+                                || {
+                                    if let Some(property) = first_failing(properties, work) {
+                                        violators.push(Violator {
+                                            hash,
+                                            repr: store.to_repr(probe),
+                                            property,
+                                        });
                                     }
+                                    store.to_repr(probe)
+                                },
+                            );
+                            match claimed {
+                                Claimed::New => {}
+                                Claimed::Duplicate => stats.duplicates += 1,
+                                Claimed::Overflow(repr) => {
+                                    overflow.push(PendingState { key, hash, repr });
                                 }
                             }
-                            ControlFlow::Continue(())
-                        });
+                        }
+                        self.automaton.restore(work, &parent, action);
+                        si += 1;
+                    }
                 }
             }
         }
-        (stats, overflow)
+        WorkerOutcome {
+            stats,
+            overflow,
+            violators,
+        }
     }
 
     /// Fills `into` with `state`'s deterministic action list: the enabled
@@ -529,12 +613,9 @@ where
     }
 }
 
-/// First property (in order) that `state` violates, as an owned name.
-fn first_violation<S>(properties: &[&dyn Property<S>], state: &S) -> Option<String> {
-    properties
-        .iter()
-        .find(|p| !p.holds(state))
-        .map(|p| p.name().to_string())
+/// Index of the first property (in order) that `state` violates.
+fn first_failing<S>(properties: &[&dyn Property<S>], state: &S) -> Option<usize> {
+    properties.iter().position(|p| !p.holds(state))
 }
 
 /// The trace property's verdict on a threaded monitor state, labelled
@@ -882,6 +963,112 @@ mod tests {
         // With a 16-byte resident ceiling the encoding arena must have
         // spilled, so the packed run's resident bytes shrink further.
         assert!(spilled.arena_bytes < reference.arena_bytes);
+    }
+
+    /// Sixteen roots `ROOT + r`, each fanning out by action `0` to the
+    /// 5000 states `1000·r + 1 ..= 1000·r + 5000`: neighbouring fans
+    /// overlap, so most states are claimed from several parents.
+    /// Successor indices from 4096 on do not fit a packed claim key, so
+    /// those claims always overflow; the rest mostly overflow a filter
+    /// sized for a 16-state frontier.
+    #[derive(Clone)]
+    struct Fans;
+
+    const ROOT: u32 = 1_000_000;
+
+    impl Automaton for Fans {
+        type Action = u8;
+        type State = u32;
+
+        fn start_states(&self) -> Vec<u32> {
+            (0..16).map(|r| ROOT + r).collect()
+        }
+        fn classify(&self, _a: &u8) -> Option<ActionClass> {
+            Some(ActionClass::Output)
+        }
+        fn successors(&self, s: &u32, _a: &u8) -> Vec<u32> {
+            match s.checked_sub(ROOT) {
+                Some(r) => (1..=5000).map(|i| 1000 * r + i).collect(),
+                None => vec![],
+            }
+        }
+        fn step_in_place(
+            &self,
+            s: &mut u32,
+            _a: &u8,
+            choose: &mut dyn FnMut(usize) -> Option<usize>,
+        ) -> bool {
+            let Some(r) = s.checked_sub(ROOT) else {
+                return false;
+            };
+            match choose(5000) {
+                Some(i) => {
+                    *s = 1000 * r + i as u32 + 1;
+                    true
+                }
+                None => false,
+            }
+        }
+        fn enabled_local(&self, s: &u32) -> Vec<u8> {
+            if *s >= ROOT {
+                vec![0]
+            } else {
+                vec![]
+            }
+        }
+        fn task_of(&self, _a: &u8) -> TaskId {
+            TaskId(0)
+        }
+        fn task_count(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn worker_verdicts_survive_the_overflow_path() {
+        // Both properties first fail on 4100, claimed first from root 0
+        // at successor index 4099 (unpackable, so through the overflow
+        // list) and again from roots 1–4 — the merged claim must keep
+        // root 0 and the verdict recorded by whichever worker built it.
+        let below = Invariant::new("below-4100", |s: &u32| *s < 4100 || *s >= ROOT);
+        let round = Invariant::new("no-round-past-4000", |s: &u32| {
+            *s <= 4000 || !s.is_multiple_of(100) || *s >= ROOT
+        });
+        let starts = Fans.start_states();
+        let seq = Explorer::new(Fans, |_s: &u32| vec![], 100_000, 10)
+            .check_invariant_from(starts.clone(), |s| below.holds(s) && round.holds(s));
+        let (seq_path, seq_state) = seq.violation.expect("4100 is reachable");
+        assert_eq!((seq_state, seq_path.len()), (4100, 1));
+
+        let check = |threads: usize, packed: bool, order: [&dyn Property<u32>; 2]| {
+            let e = ParallelExplorer::new(Fans, |_s: &u32| vec![], 100_000, 10)
+                .threads(threads)
+                .shards(1);
+            let report = if packed {
+                e.packed().check_properties_from(starts.clone(), &order)
+            } else {
+                e.check_properties_from(starts.clone(), &order)
+            };
+            assert!(
+                report.dedup_hits() > 0,
+                "overlapping fans must merge claims"
+            );
+            report.violation.expect("both properties fail")
+        };
+        for threads in [1, 2, 4] {
+            for packed in [false, true] {
+                for (order, name) in [
+                    ([&below as &dyn Property<u32>, &round], "below-4100"),
+                    ([&round as &dyn Property<u32>, &below], "no-round-past-4000"),
+                ] {
+                    let v = check(threads, packed, order);
+                    let leg = format!("{threads} threads, packed {packed}");
+                    assert_eq!(v.state, seq_state, "{leg}");
+                    assert_eq!(v.path, seq_path, "{leg}");
+                    assert_eq!(v.property, name, "{leg}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,10 +27,16 @@
 //!   index, successor index)` triple — which makes state numbering,
 //!   counterexample choice, and counterexample length a pure function of
 //!   the state graph, **identical for every thread count**;
-//! * properties are pluggable [`Property`] observers checked on every
-//!   state as layers complete (the WDL-safety observer of `dl-core`
-//!   composes into the system as an automaton and is then checked here as
-//!   a plain [`Invariant`] over its projected state);
+//! * edges are expanded in place: each worker steps one scratch copy of
+//!   the parent with [`ioa::Automaton::step_in_place`], probes the store
+//!   with the borrowed successor, and puts the parent back with
+//!   [`ioa::Automaton::restore`], so only genuinely new states are built
+//!   as owned values;
+//! * properties are pluggable [`Property`] observers, evaluated on each
+//!   new state by the worker that builds it; the layer barrier picks the
+//!   first recorded violator in claim order (the WDL-safety observer of
+//!   `dl-core` composes into the system as an automaton and is then
+//!   checked here as a plain [`Invariant`] over its projected state);
 //! * trace properties — judgements over the *action path* rather than the
 //!   state — thread a [`TraceProperty`] monitor state along the BFS
 //!   spanning tree without enlarging the explored state space;

@@ -11,16 +11,21 @@
 //! * a worker **claims** a slot by CAS-ing the slot's tag from the empty
 //!   sentinel to the state's hash; the single CAS winner publishes the
 //!   `(hash, representation)` payload through a [`OnceLock`];
-//! * losers that verify payload equality fold their claim in with a
-//!   single `fetch_min` on the slot's packed claim key — the minimal
-//!   `(parent, action, successor)` triple survives regardless of arrival
-//!   order, which is what keeps results thread-count-independent;
+//! * losers that verify payload equality — through the caller's
+//!   equality check against the *borrowed* state, so a duplicate never
+//!   builds a representation — fold their claim in with a single
+//!   `fetch_min` on the slot's packed claim key: the minimal `(parent,
+//!   action, successor)` triple survives regardless of arrival order,
+//!   which is what keeps results thread-count-independent;
 //! * anything the filter cannot prove — an unverifiable race with a
 //!   winner mid-publish, a probe chain past its limit, a claim key too
 //!   large for the packed 64-bit form — is returned to the caller as
-//!   [`Claimed::Overflow`] *with ownership of the representation*, and
-//!   exactness is restored at the layer barrier where the engine merges
+//!   [`Claimed::Overflow`] *with an owned representation*, and exactness
+//!   is restored at the layer barrier where the engine merges
 //!   worker-local overflow lists into the drained entries.
+//!
+//! The representation is built by the caller's constructor at most once
+//! per claim: just before the CAS on an empty slot, or on overflow.
 //!
 //! The filter is built fresh per layer and drained at the barrier, so a
 //! state dropped by the state budget is naturally rediscoverable in a
@@ -102,9 +107,9 @@ pub(crate) enum Claimed<R> {
     /// claim key was folded in.
     Duplicate,
     /// The filter could not decide (probe limit, unverifiable race, or
-    /// an unpackable claim key). Ownership of the representation returns
-    /// to the caller, which records it in a worker-local overflow list;
-    /// the barrier merge restores exact dedup semantics.
+    /// an unpackable claim key). The built representation goes to the
+    /// caller, which records it in a worker-local overflow list; the
+    /// barrier merge restores exact dedup semantics.
     Overflow(R),
 }
 
@@ -143,7 +148,7 @@ pub(crate) struct LayerFilter<R> {
     slot_mask: usize,
 }
 
-impl<R: Eq> LayerFilter<R> {
+impl<R> LayerFilter<R> {
     /// A filter sized for about `expected` distinct discoveries, split
     /// into `segments` segments (both rounded up to powers of two; small
     /// layers collapse to fewer segments so each keeps a useful probe
@@ -161,13 +166,31 @@ impl<R: Eq> LayerFilter<R> {
         }
     }
 
-    /// Claims `repr` (hashing to `hash`) as discovered via `key`.
-    /// Lock-free: the only writes are one CAS on an empty slot's tag, a
-    /// `OnceLock` publish by the unique CAS winner, and `fetch_min` folds
-    /// of the packed claim key.
-    pub fn claim(&self, hash: u64, key: ClaimKey, repr: R) -> Claimed<R> {
+    /// Claims the state hashing to `hash` as discovered via `key`.
+    /// `is_same` tells whether a published representation is this
+    /// state; `make` builds its representation, at most once and only
+    /// when the claim takes an empty slot or overflows. Lock-free: the
+    /// only writes are one CAS on an empty slot's tag, a `OnceLock`
+    /// publish by the unique CAS winner, and `fetch_min` folds of the
+    /// packed claim key.
+    pub fn claim(
+        &self,
+        hash: u64,
+        key: ClaimKey,
+        is_same: impl Fn(&R) -> bool,
+        make: impl FnOnce() -> R,
+    ) -> Claimed<R> {
+        let mut make = Some(make);
+        // A representation built for a CAS this claim then lost, kept
+        // for the next empty slot (or the overflow list).
+        let mut built: Option<R> = None;
+        let mut own = |built: &mut Option<R>| {
+            built
+                .take()
+                .unwrap_or_else(|| make.take().expect("a claim builds its representation once")())
+        };
         let Some(packed) = key.pack() else {
-            return Claimed::Overflow(repr);
+            return Claimed::Overflow(own(&mut built));
         };
         let tag = if hash == 0 { 1 } else { hash };
         let segment = &self.segments[(hash >> 32) as usize & self.seg_mask];
@@ -176,6 +199,7 @@ impl<R: Eq> LayerFilter<R> {
             let slot = &segment[i];
             let mut current = slot.tag.load(Ordering::Acquire);
             if current == 0 {
+                let repr = own(&mut built);
                 match slot
                     .tag
                     .compare_exchange(0, tag, Ordering::AcqRel, Ordering::Acquire)
@@ -187,12 +211,15 @@ impl<R: Eq> LayerFilter<R> {
                         slot.key.fetch_min(packed, Ordering::AcqRel);
                         return Claimed::New;
                     }
-                    Err(raced) => current = raced,
+                    Err(raced) => {
+                        built = Some(repr);
+                        current = raced;
+                    }
                 }
             }
             if current == tag {
                 match slot.val.get() {
-                    Some((h, r)) if *h == hash && *r == repr => {
+                    Some((h, r)) if *h == hash && is_same(r) => {
                         slot.key.fetch_min(packed, Ordering::AcqRel);
                         return Claimed::Duplicate;
                     }
@@ -200,12 +227,12 @@ impl<R: Eq> LayerFilter<R> {
                     Some(_) => {}
                     // Winner mid-publish; defer to the barrier merge
                     // rather than spin.
-                    None => return Claimed::Overflow(repr),
+                    None => return Claimed::Overflow(own(&mut built)),
                 }
             }
             i = (i + 1) & self.slot_mask;
         }
-        Claimed::Overflow(repr)
+        Claimed::Overflow(own(&mut built))
     }
 
     /// Drains every claimed slot. Called at the layer barrier with
@@ -244,6 +271,11 @@ mod tests {
         }
     }
 
+    /// Claims a test representation, recognized by plain equality.
+    fn claim<R: Eq + Clone>(filter: &LayerFilter<R>, hash: u64, k: ClaimKey, v: R) -> Claimed<R> {
+        filter.claim(hash, k, |r| *r == v, || v.clone())
+    }
+
     #[test]
     fn pack_order_matches_lexicographic_order() {
         let keys = [
@@ -272,7 +304,7 @@ mod tests {
             let mut filter: LayerFilter<u32> = LayerFilter::new(16, 4);
             let mut news = 0;
             for i in order {
-                if matches!(filter.claim(7, keys[i], 99), Claimed::New) {
+                if matches!(claim(&filter, 7, keys[i], 99), Claimed::New) {
                     news += 1;
                 }
             }
@@ -288,14 +320,14 @@ mod tests {
     #[test]
     fn distinct_states_with_equal_hashes_coexist() {
         let mut filter: LayerFilter<u32> = LayerFilter::new(16, 1);
-        assert!(matches!(filter.claim(5, key(0, 0, 0), 10), Claimed::New));
-        assert!(matches!(filter.claim(5, key(0, 0, 1), 20), Claimed::New));
+        assert!(matches!(claim(&filter, 5, key(0, 0, 0), 10), Claimed::New));
+        assert!(matches!(claim(&filter, 5, key(0, 0, 1), 20), Claimed::New));
         assert!(matches!(
-            filter.claim(5, key(9, 0, 0), 10),
+            claim(&filter, 5, key(9, 0, 0), 10),
             Claimed::Duplicate
         ));
         assert!(matches!(
-            filter.claim(5, key(9, 0, 0), 20),
+            claim(&filter, 5, key(9, 0, 0), 20),
             Claimed::Duplicate
         ));
         let mut drained = filter.drain();
@@ -307,12 +339,12 @@ mod tests {
     #[test]
     fn zero_hash_is_remapped_but_disambiguated() {
         let mut filter: LayerFilter<u32> = LayerFilter::new(16, 1);
-        assert!(matches!(filter.claim(0, key(0, 0, 0), 1), Claimed::New));
+        assert!(matches!(claim(&filter, 0, key(0, 0, 0), 1), Claimed::New));
         // Hash 1 shares the tag with remapped hash 0; the stored true
         // hash keeps them distinct states.
-        assert!(matches!(filter.claim(1, key(0, 0, 1), 1), Claimed::New));
+        assert!(matches!(claim(&filter, 1, key(0, 0, 1), 1), Claimed::New));
         assert!(matches!(
-            filter.claim(0, key(5, 0, 0), 1),
+            claim(&filter, 0, key(5, 0, 0), 1),
             Claimed::Duplicate
         ));
         let drained = filter.drain();
@@ -320,10 +352,34 @@ mod tests {
     }
 
     #[test]
+    fn representations_are_built_only_for_new_and_overflowing_claims() {
+        let filter: LayerFilter<u32> = LayerFilter::new(16, 1);
+        let builds = std::cell::Cell::new(0);
+        let make = || {
+            builds.set(builds.get() + 1);
+            7
+        };
+        assert!(matches!(
+            filter.claim(9, key(0, 0, 0), |r| *r == 7, make),
+            Claimed::New
+        ));
+        assert!(matches!(
+            filter.claim(9, key(1, 0, 0), |r| *r == 7, make),
+            Claimed::Duplicate
+        ));
+        assert_eq!(builds.get(), 1, "a duplicate must not build anything");
+        assert!(matches!(
+            filter.claim(9, key(0, 1 << 20, 0), |r| *r == 7, make),
+            Claimed::Overflow(7)
+        ));
+        assert_eq!(builds.get(), 2);
+    }
+
+    #[test]
     fn unpackable_keys_overflow_with_ownership() {
         let filter: LayerFilter<String> = LayerFilter::new(16, 1);
         let big = key(0, 1 << 20, 0);
-        match filter.claim(3, big, "payload".to_string()) {
+        match claim(&filter, 3, big, "payload".to_string()) {
             Claimed::Overflow(s) => assert_eq!(s, "payload"),
             _ => panic!("unpackable key must overflow"),
         }
@@ -335,7 +391,8 @@ mod tests {
         let (mut news, mut overflows) = (0, 0);
         for s in 0..100u64 {
             // Spread hashes so probing is realistic.
-            match filter.claim(
+            match claim(
+                &filter,
                 s.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 key(s as u32, 0, 0),
                 s,
@@ -365,7 +422,7 @@ mod tests {
                     for s in 0..256u64 {
                         let hash = s.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                         let k = key(s as u32, t, 0);
-                        if let Claimed::Overflow(r) = filter.claim(hash, k, s) {
+                        if let Claimed::Overflow(r) = claim(filter, hash, k, s) {
                             local.push(PendingState {
                                 key: k,
                                 hash,

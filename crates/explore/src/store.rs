@@ -10,18 +10,22 @@
 //! cold encoding bytes to an unlinked temp file so deep searches bound
 //! their resident memory.
 //!
-//! Both backends expose the same claim-time contract: [`absorb`] turns a
-//! successor into `(hash, representation)` once, workers dedup against
-//! admitted states via the read-only [`lookup`], and the barrier interns
+//! Both backends expose the same claim-time contract: [`probe`] hashes a
+//! *borrowed* successor once and hands back its borrowed key (the state
+//! itself, or its encoding in a reused per-worker buffer), workers dedup
+//! against admitted states via the read-only [`lookup`] on that key, an
+//! owned representation is built by [`to_repr`] only for a state the
+//! layer's claim filter publishes or overflows, and the barrier interns
 //! in deterministic sorted order via [`intern_new`] — so plain and
 //! packed runs admit the same states with the same dense ids and differ
 //! only in `arena_bytes`.
 //!
-//! [`absorb`]: StateStore::absorb
+//! [`probe`]: StateStore::probe
 //! [`lookup`]: StateStore::lookup
+//! [`to_repr`]: StateStore::to_repr
 //! [`intern_new`]: StateStore::intern_new
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
 
@@ -36,21 +40,30 @@ use crate::shard::SharedHasher;
 /// The store is frozen (shared immutably) while workers expand a layer
 /// and grows only at the barrier, on the coordinating thread.
 pub trait StateStore<S: Clone>: Sync {
-    /// What a claimed-but-not-yet-admitted state is carried as: the
-    /// state itself for plain storage, its canonical encoding for packed
-    /// storage. Equality on representations must coincide with equality
-    /// on states.
-    type Repr: Eq + Send + Sync;
+    /// The borrowed form a state is probed as: the state itself for
+    /// plain storage, its canonical encoding for packed storage.
+    /// Equality on keys must coincide with equality on states.
+    type Key: ?Sized + Eq;
 
-    /// Hashes `state` and converts it to its claim representation. The
-    /// returned hash is the one [`lookup`](Self::lookup) and
+    /// What a claimed-but-not-yet-admitted state is carried as: the
+    /// owned form of [`Key`](Self::Key).
+    type Repr: Borrow<Self::Key> + Send + Sync;
+
+    /// Hashes the borrowed `state` and returns it with its probe key.
+    /// Packed storage encodes into `buf`, which the caller reuses across
+    /// probes, so a probe allocates nothing once `buf` has grown. The
+    /// hash is the one [`lookup`](Self::lookup) and
     /// [`intern_new`](Self::intern_new) expect — it is computed exactly
     /// once per discovered edge.
-    fn absorb(&self, state: S) -> (u64, Self::Repr);
+    fn probe<'a>(&self, state: &'a S, buf: &'a mut Vec<u8>) -> (u64, &'a Self::Key);
 
-    /// Dense id of an already-admitted state with this representation,
-    /// if any. Read-only; safe to call from concurrent workers.
-    fn lookup(&self, hash: u64, repr: &Self::Repr) -> Option<u32>;
+    /// The owned representation of a probed key. Built only for a state
+    /// the claim filter publishes or overflows, never for a duplicate.
+    fn to_repr(&self, key: &Self::Key) -> Self::Repr;
+
+    /// Dense id of an already-admitted state with this key, if any.
+    /// Read-only; safe to call from concurrent workers.
+    fn lookup(&self, hash: u64, key: &Self::Key) -> Option<u32>;
 
     /// Admits a representation known not to be stored yet, returning its
     /// dense id (ids are assigned in call order, starting at 0).
@@ -115,14 +128,19 @@ impl<S> StateStore<S> for PlainStore<S>
 where
     S: Clone + Eq + Hash + Send + Sync,
 {
+    type Key = S;
     type Repr = S;
 
-    fn absorb(&self, state: S) -> (u64, S) {
-        (self.hasher.hash_one(&state), state)
+    fn probe<'a>(&self, state: &'a S, _buf: &'a mut Vec<u8>) -> (u64, &'a S) {
+        (self.hasher.hash_one(state), state)
     }
 
-    fn lookup(&self, hash: u64, repr: &S) -> Option<u32> {
-        self.table.lookup_prehashed(hash, repr).map(|id| id.0)
+    fn to_repr(&self, key: &S) -> S {
+        key.clone()
+    }
+
+    fn lookup(&self, hash: u64, key: &S) -> Option<u32> {
+        self.table.lookup_prehashed(hash, key).map(|id| id.0)
     }
 
     fn intern_new(&mut self, hash: u64, repr: S) -> u32 {
@@ -197,17 +215,21 @@ impl<S> StateStore<S> for PackedStore<S>
 where
     S: Clone + Eq + PackedCodec,
 {
+    type Key = [u8];
     type Repr = Box<[u8]>;
 
-    fn absorb(&self, state: S) -> (u64, Box<[u8]>) {
-        let mut buf = Vec::with_capacity(32);
-        state.encode(&mut buf);
-        let repr = buf.into_boxed_slice();
-        (self.table.hash_bytes(&repr), repr)
+    fn probe<'a>(&self, state: &'a S, buf: &'a mut Vec<u8>) -> (u64, &'a [u8]) {
+        buf.clear();
+        state.encode(buf);
+        (self.table.hash_bytes(buf), buf)
     }
 
-    fn lookup(&self, hash: u64, repr: &Box<[u8]>) -> Option<u32> {
-        self.table.lookup(hash, repr)
+    fn to_repr(&self, key: &[u8]) -> Box<[u8]> {
+        key.into()
+    }
+
+    fn lookup(&self, hash: u64, key: &[u8]) -> Option<u32> {
+        self.table.lookup(hash, key)
     }
 
     fn intern_new(&mut self, hash: u64, repr: Box<[u8]>) -> u32 {

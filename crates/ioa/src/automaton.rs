@@ -138,10 +138,13 @@ pub trait Automaton {
     ///
     /// This default goes through `successors`, so every automaton gets
     /// the method for free; executors that resolve one successor per step
-    /// (the session runner) call it so that an override — the channels,
-    /// the protocol zoo and [`Compose2`](crate::composition::Compose2) —
-    /// can mutate only the components the action touches instead of
-    /// rebuilding the whole state by value.
+    /// (the session runner) and the explorer, which steps a scratch copy
+    /// of each parent through every pick and back with
+    /// [`restore`](Automaton::restore), call it so that an override — the
+    /// channels, the WDL observer, the protocol zoo and
+    /// [`Compose2`](crate::composition::Compose2) — can mutate only the
+    /// components the action touches instead of rebuilding the whole
+    /// state by value.
     fn step_in_place(
         &self,
         state: &mut Self::State,
@@ -159,6 +162,21 @@ pub trait Automaton {
             }
             None => false,
         }
+    }
+
+    /// Undoes a [`step_in_place`](Automaton::step_in_place): after
+    /// `step_in_place(state, action, _)` from a state equal to `from`
+    /// (taken, declined or disabled alike), makes `state == from` again.
+    ///
+    /// The default copies `from` back with `clone_from`. Overrides put
+    /// back only what `action` can change —
+    /// [`Compose2`](crate::composition::Compose2) restores just the
+    /// components in the action's signature — so an explorer can step one
+    /// scratch copy of a parent through each of its successors in turn
+    /// without rebuilding the untouched components every time.
+    fn restore(&self, state: &mut Self::State, from: &Self::State, action: &Self::Action) {
+        let _ = action;
+        state.clone_from(from);
     }
 
     /// Visits every enabled locally-controlled action in the same order
@@ -335,6 +353,9 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     ) -> bool {
         (**self).step_in_place(state, action, choose)
     }
+    fn restore(&self, state: &mut Self::State, from: &Self::State, action: &Self::Action) {
+        (**self).restore(state, from, action);
+    }
     fn for_each_enabled_local(
         &self,
         state: &Self::State,
@@ -440,6 +461,11 @@ mod tests {
             &mut |_| Some(0)
         ));
         assert_eq!(s, 0);
+        // Restoring undoes the step, directly or through a reference.
+        c.restore(&mut s, &2, &Act::Reset);
+        assert_eq!(s, 2);
+        <&Counter as Automaton>::restore(&&c, &mut s, &1, &Act::Tick);
+        assert_eq!(s, 1);
     }
 
     #[test]

@@ -333,6 +333,17 @@ where
         }
     }
 
+    fn restore(&self, state: &mut Self::State, from: &Self::State, action: &A) {
+        // `step_in_place` never touches a component outside the action's
+        // signature, so only the participants need putting back.
+        if self.left.in_signature(action) {
+            self.left.restore(&mut state.left, &from.left, action);
+        }
+        if self.right.in_signature(action) {
+            self.right.restore(&mut state.right, &from.right, action);
+        }
+    }
+
     fn is_enabled(&self, state: &Self::State, action: &A) -> bool {
         // The cross product is non-empty iff both factors are, so the
         // composite never needs to build a single `Pair` to decide

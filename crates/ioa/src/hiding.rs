@@ -106,6 +106,10 @@ where
         self.inner.step_in_place(state, action, choose)
     }
 
+    fn restore(&self, state: &mut Self::State, from: &Self::State, action: &Self::Action) {
+        self.inner.restore(state, from, action);
+    }
+
     fn for_each_enabled_local(
         &self,
         state: &Self::State,

@@ -7,10 +7,12 @@
 //! `successors`/`enabled_local` they shadow. Executors pick successors by
 //! position, so even a reordering would silently change schedules.
 //!
-//! The session runner steps through `step_in_place` instead, so the same
-//! walk also pins its contract: picking index `i` yields exactly
-//! `successors()[i]`, `choose` sees the successor count once, and a
-//! disabled or declined step leaves the state untouched.
+//! The session runner and the explorer step through `step_in_place`
+//! instead, so the same walk also pins its contract: picking index `i`
+//! yields exactly `successors()[i]`, `choose` sees the successor count
+//! once, and a disabled or declined step leaves the state untouched —
+//! plus the explorer's `restore` contract: restoring after any of those
+//! steps gives back the state stepped from.
 //!
 //! This suite walks the full composed `link_system` (Hide ∘ Compose2 ∘
 //! protocol stations ∘ channels) for every protocol of the zoo and checks
@@ -34,8 +36,8 @@ fn mix(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Asserts the `step_in_place` contract for `(s, a)` against the legacy
-/// successor list `legacy`.
+/// Asserts the `step_in_place` and `restore` contracts for `(s, a)`
+/// against the legacy successor list `legacy`.
 fn check_step_in_place<A>(auto: &A, s: &A::State, a: &A::Action, legacy: &[A::State])
 where
     A: Automaton,
@@ -54,6 +56,8 @@ where
             "choose must see n once for {a:?}"
         );
         assert_eq!(&t, want, "step_in_place pick {i} differs for {a:?}");
+        auto.restore(&mut t, s, a);
+        assert_eq!(&t, s, "restore after pick {i} missed for {a:?}");
     }
     // Declining, or a disabled action, leaves the state untouched.
     let mut t = s.clone();
@@ -72,6 +76,8 @@ where
         &t, s,
         "a declined or disabled step mutated the state for {a:?}"
     );
+    auto.restore(&mut t, s, a);
+    assert_eq!(&t, s, "restore after a declined step moved {a:?}");
 }
 
 /// Asserts every callback-based API agrees with its Vec-based twin at
@@ -342,11 +348,14 @@ fn compose2_step_in_place_splits_the_pick_left_outer() {
 
 /// The simulated channels (nondeterministic loss, reordering, burst) get
 /// their own walk: they are the only automata with multi-successor
-/// transitions besides composition cross-products.
+/// transitions besides composition cross-products. The WDL observer,
+/// the explored systems' other in-place leaf, rides along on the same
+/// walk with message inputs.
 #[test]
 fn simulated_channels_interned_apis_match_legacy() {
     use datalink::channels::{BurstLossChannel, LossMode, LossyFifoChannel, ReorderChannel};
     use datalink::core::action::Packet;
+    use datalink::core::observer::WdlObserver;
 
     let mut inputs: Vec<DlAction> = Vec::new();
     for d in [Dir::TR, Dir::RT] {
@@ -364,6 +373,10 @@ fn simulated_channels_interned_apis_match_legacy() {
     }
     inputs.push(DlAction::Crash(Station::T));
     inputs.push(DlAction::Crash(Station::R));
+    for m in 0..3 {
+        inputs.push(DlAction::SendMsg(Msg(m)));
+        inputs.push(DlAction::ReceiveMsg(Msg(m)));
+    }
 
     fn drive<A>(auto: &A, inputs: &[DlAction], seed: u64)
     where
@@ -398,11 +411,19 @@ fn simulated_channels_interned_apis_match_legacy() {
             &inputs,
             seed,
         );
+        // The explored systems' channel: its full-queue drop branch
+        // yields two equal successors.
+        drive(
+            &LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 2),
+            &inputs,
+            seed,
+        );
         drive(
             &ReorderChannel::new(Dir::RT, LossMode::Nondet),
             &inputs,
             seed,
         );
         drive(&BurstLossChannel::new(Dir::TR, 2, 2), &inputs, seed);
+        drive(&WdlObserver, &inputs, seed);
     }
 }
