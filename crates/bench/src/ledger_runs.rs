@@ -482,8 +482,7 @@ impl MonitorTraceGen {
 /// (A single unsharded 10⁷-action stream is deliberately *not* the
 /// headline: PL2 forces every conformant packet value to be globally
 /// distinct, so a monolithic monitor's value tables outgrow cache and
-/// the run measures DRAM probe latency, ~2 · 10⁶ actions/s — the
-/// `checker_scaling` sweep covers that regime explicitly.)
+/// the run measures DRAM probe latency, ~2 · 10⁶ actions/s.)
 ///
 /// Counters (session/verdict tallies, in-transit population, and the
 /// `peak_monitor_bytes` footprint that gates the bounded-memory claim)

@@ -7,9 +7,26 @@
 //! `bench_slowdown.rs` for the environment-variable path) — counters stay
 //! identical, only the wall-clock gauges move, which is exactly the
 //! signal the gate rules consume.
+//!
+//! Every test here times workloads in process, so each holds
+//! [`WALL_CLOCK`] and runs alone: a sibling test running beside a
+//! measured window would skew its gauges.
+
+use std::sync::{Mutex, MutexGuard};
 
 use dl_bench::ledger_runs::{explore_e9, relax_into_baseline, sim_e11};
 use dl_obs::{gate, BenchFile, GateConfig};
+
+/// Serializes the wall-clock tests in this file.
+static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
+/// Takes the file's wall-clock lock; a test that panicked while holding
+/// it leaves nothing behind that the next test could trip over.
+fn run_alone() -> MutexGuard<'static, ()> {
+    WALL_CLOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn file_of(runs: Vec<dl_obs::RunLedger>) -> BenchFile {
     BenchFile {
@@ -20,6 +37,7 @@ fn file_of(runs: Vec<dl_obs::RunLedger>) -> BenchFile {
 
 #[test]
 fn clean_rerun_passes_the_relaxed_baseline() {
+    let _alone = run_alone();
     let mut baseline = file_of(vec![explore_e9(1, 0), sim_e11(0)]);
     relax_into_baseline(&mut baseline);
     let current = file_of(vec![explore_e9(1, 0), sim_e11(0)]);
@@ -30,6 +48,7 @@ fn clean_rerun_passes_the_relaxed_baseline() {
 
 #[test]
 fn synthetic_slowdown_fails_the_gate() {
+    let _alone = run_alone();
     // Un-relaxed baseline, so the tolerances are the gate's own 25 %.
     // The E9 exploration takes well under 100 ms; a 400 ms stall inside
     // the measured window slashes `states_per_sec` far below the 75 %
@@ -53,6 +72,7 @@ fn synthetic_slowdown_fails_the_gate() {
 
 #[test]
 fn alloc_ceiling_breach_fails_the_gate() {
+    let _alone = run_alone();
     let baseline = file_of(vec![explore_e9(1, 0)]);
     let mut bloated = file_of(vec![explore_e9(1, 0)]);
     let bytes = bloated.runs[0].counters["arena_bytes"];
@@ -68,6 +88,7 @@ fn alloc_ceiling_breach_fails_the_gate() {
 
 #[test]
 fn dropped_run_fails_the_gate() {
+    let _alone = run_alone();
     let baseline = file_of(vec![explore_e9(1, 0), sim_e11(0)]);
     let partial = file_of(vec![explore_e9(1, 0)]);
     let report = gate(&baseline, &partial, &GateConfig::default());

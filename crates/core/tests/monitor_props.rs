@@ -65,8 +65,7 @@ fn dir_index(d: Dir) -> usize {
 /// Expands a byte string of choices into a legality-biased trace:
 /// packet traffic only on up media and received in FIFO order, messages
 /// delivered in send order, wake/fail strictly alternating, occasional
-/// crashes. Shared (by construction, not linkage) with the
-/// `checker_scaling` bench.
+/// crashes.
 fn structured_trace(choices: &[u8]) -> Vec<DlAction> {
     let mut out = vec![DlAction::Wake(Dir::TR), DlAction::Wake(Dir::RT)];
     let mut up = [true, true];
@@ -145,9 +144,8 @@ fn any_trace_strategy() -> impl Strategy<Value = Vec<DlAction>> {
 }
 
 /// Deterministic xorshift-driven structured trace of at least `n`
-/// actions, for the scaling smoke test (and mirrored in the bench). The
-/// builder drops infeasible choices, so choices are over-provisioned
-/// until the trace is long enough.
+/// actions, for the scaling tests. The builder drops infeasible choices,
+/// so choices are over-provisioned until the trace is long enough.
 fn synthetic_trace(n: usize, seed: u64) -> Vec<DlAction> {
     let mut budget = n + n / 2;
     loop {
@@ -298,8 +296,60 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Scaling smoke: linear growth guard for `scripts/check.sh`.
+// Scaling: linear growth guards for `scripts/check.sh`.
 // ---------------------------------------------------------------------
+
+/// All eight verdict configurations from one streaming pass.
+fn streaming_verdicts(trace: &[DlAction]) -> Vec<Verdict> {
+    let mon = TraceMonitor::scan(trace);
+    let mut verdicts = Vec::with_capacity(8);
+    for dir in [Dir::TR, Dir::RT] {
+        for fifo in [false, true] {
+            verdicts.push(mon.pl_verdict(dir, fifo));
+        }
+    }
+    for weak in [false, true] {
+        for kind in [TraceKind::Prefix, TraceKind::Complete] {
+            verdicts.push(mon.dl_verdict(weak, kind));
+        }
+    }
+    verdicts
+}
+
+/// The same eight verdicts from the quadratic reference checkers.
+fn reference_verdicts(trace: &[DlAction]) -> Vec<Verdict> {
+    let mut verdicts = Vec::with_capacity(8);
+    for dir in [Dir::TR, Dir::RT] {
+        for fifo in [false, true] {
+            verdicts.push(reference::pl_check(trace, dir, fifo));
+        }
+    }
+    for weak in [false, true] {
+        for kind in [TraceKind::Prefix, TraceKind::Complete] {
+            verdicts.push(reference::dl_check(trace, weak, kind));
+        }
+    }
+    verdicts
+}
+
+/// A message-dense trace: alternating send/deliver pairs with a
+/// transmitter wake/fail cycle every 500 messages — the worst case for
+/// the reference checkers, whose DL5 scan over all prior receives is
+/// Θ(n²) here.
+fn message_heavy_trace(n: usize) -> Vec<DlAction> {
+    let mut out = vec![DlAction::Wake(Dir::TR), DlAction::Wake(Dir::RT)];
+    let mut m = 0u64;
+    while out.len() < n {
+        out.push(DlAction::SendMsg(Msg(m)));
+        out.push(DlAction::ReceiveMsg(Msg(m)));
+        m += 1;
+        if m.is_multiple_of(500) {
+            out.push(DlAction::Fail(Dir::TR));
+            out.push(DlAction::Wake(Dir::TR));
+        }
+    }
+    out
+}
 
 /// One full monitor pass (all verdict families) over a 10⁵-action
 /// structured trace must be fast — the quadratic legacy checkers took
@@ -311,23 +361,50 @@ fn scaling_smoke() {
     let trace = synthetic_trace(100_000, 0x5eed);
     assert!(trace.len() >= 100_000, "builder emitted {}", trace.len());
     let t0 = Instant::now();
-    let mon = TraceMonitor::scan(&trace);
-    let mut verdicts = Vec::new();
-    for dir in [Dir::TR, Dir::RT] {
-        for fifo in [false, true] {
-            verdicts.push(mon.pl_verdict(dir, fifo));
-        }
-    }
-    for weak in [false, true] {
-        for kind in [TraceKind::Prefix, TraceKind::Complete] {
-            verdicts.push(mon.dl_verdict(weak, kind));
-        }
-    }
+    let verdicts = streaming_verdicts(&trace);
     let elapsed = t0.elapsed();
     assert_eq!(verdicts.len(), 8);
     assert!(
         elapsed.as_secs_f64() < 10.0,
         "streaming pass over {} actions took {elapsed:?} — linear checkers regressed",
         trace.len()
+    );
+}
+
+/// EXPERIMENTS E11's gate: streaming and reference verdicts agree on
+/// every seed at 10⁴ structured actions, and on the message-dense shape
+/// at 10⁵ actions the streaming pass is at least 10× faster than the
+/// reference pass. The reference pass takes seconds there even in
+/// release, so the test runs only in release builds
+/// (`scripts/check.sh --stage scaling`).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: the quadratic reference pass is too slow in debug"
+)]
+fn scaling_speedup_over_reference() {
+    for seed in [1u64, 2, 3, 0x5eed] {
+        let trace = synthetic_trace(10_000, seed);
+        assert_eq!(
+            streaming_verdicts(&trace),
+            reference_verdicts(&trace),
+            "streaming and reference verdicts diverged on seed {seed}"
+        );
+    }
+
+    let trace = message_heavy_trace(100_000);
+    let t0 = Instant::now();
+    let fast = streaming_verdicts(&trace);
+    let streaming = t0.elapsed();
+    let t0 = Instant::now();
+    let slow = reference_verdicts(&trace);
+    let legacy = t0.elapsed();
+    assert_eq!(fast, slow, "verdicts diverged at 10^5 actions");
+    let speedup = legacy.as_secs_f64() / streaming.as_secs_f64();
+    eprintln!("10^5 actions: streaming {streaming:?}, reference {legacy:?} ({speedup:.0}x)");
+    assert!(
+        speedup >= 10.0,
+        "streaming pass ({streaming:?}) only {speedup:.1}x faster than the \
+         reference ({legacy:?}) at 10^5 actions"
     );
 }

@@ -150,13 +150,7 @@ impl<M, I, B> ParallelExplorer<M, I, B> {
     /// same admitted states, same ids, same verdicts — a fraction of the
     /// arena bytes. Requires `M::State: PackedCodec`.
     pub fn packed(self) -> ParallelExplorer<M, I, PackedBackend> {
-        self.with_backend(PackedBackend::new())
-    }
-
-    /// Packed storage with the disk-spill path enabled: resident arena
-    /// bytes beyond `threshold` move to an unlinked temp file.
-    pub fn packed_with_spill(self, threshold: usize) -> ParallelExplorer<M, I, PackedBackend> {
-        self.with_backend(PackedBackend::new().with_spill_threshold(threshold))
+        self.with_backend(PackedBackend)
     }
 
     fn effective_threads(&self) -> usize {
@@ -945,24 +939,6 @@ mod tests {
             assert_eq!(v.path, vec![1, 3]);
             assert_eq!(v.state, 3);
         }
-    }
-
-    #[test]
-    fn packed_spill_keeps_results_and_bounds_resident_bytes() {
-        let reference = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
-            .threads(2)
-            .packed()
-            .reachable_states();
-        let spilled = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
-            .threads(2)
-            .packed_with_spill(16)
-            .reachable_states();
-        assert_eq!(spilled.states_visited, reference.states_visited);
-        assert_eq!(spilled.quiescent_states, reference.quiescent_states);
-        assert_eq!(spilled.dedup_hits(), reference.dedup_hits());
-        // With a 16-byte resident ceiling the encoding arena must have
-        // spilled, so the packed run's resident bytes shrink further.
-        assert!(spilled.arena_bytes < reference.arena_bytes);
     }
 
     /// Sixteen roots `ROOT + r`, each fanning out by action `0` to the

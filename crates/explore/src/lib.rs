@@ -20,8 +20,7 @@
 //! * state storage is **pluggable**: the default [`PlainBackend`] interns
 //!   full structs, while [`PackedBackend`] interns canonical bit-packed
 //!   [`ioa::intern::PackedCodec`] encodings (same states, same ids, same
-//!   verdicts, a fraction of the arena bytes) with an optional
-//!   disk-spill threshold that bounds resident memory on deep searches;
+//!   verdicts, a fraction of the arena bytes);
 //! * every newly discovered state records the **minimal claim** that
 //!   reached it — the lexicographically least `(parent index, action
 //!   index, successor index)` triple — which makes state numbering,

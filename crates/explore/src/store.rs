@@ -6,9 +6,7 @@
 //! The [`PackedBackend`] stores each state's canonical [`PackedCodec`]
 //! encoding in a [`PackedTable`]: the hasher touches a handful of bytes
 //! instead of walking a struct, the arena footprint drops several-fold
-//! for queue-heavy zoo states, and an optional spill threshold moves
-//! cold encoding bytes to an unlinked temp file so deep searches bound
-//! their resident memory.
+//! for queue-heavy zoo states.
 //!
 //! Both backends expose the same claim-time contract: [`probe`] hashes a
 //! *borrowed* successor once and hands back its borrowed key (the state
@@ -81,11 +79,8 @@ pub trait StateStore<S: Clone>: Sync {
         self.len() == 0
     }
 
-    /// Resident footprint of the arena in bytes (spilled bytes excluded).
+    /// Resident footprint of the arena in bytes.
     fn approx_bytes(&self) -> usize;
-
-    /// Bytes moved to the disk-spill file so far (`0` without spill).
-    fn spilled_bytes(&self) -> u64;
 }
 
 /// A factory for [`StateStore`]s — the explorer holds a backend and
@@ -160,36 +155,12 @@ where
     fn approx_bytes(&self) -> usize {
         self.table.approx_bytes()
     }
-
-    fn spilled_bytes(&self) -> u64 {
-        0
-    }
 }
 
 /// Packed-encoding backend: states live as canonical [`PackedCodec`]
-/// byte strings in a [`PackedTable`]. Optionally spills cold encoding
-/// bytes to disk past a resident-size threshold.
+/// byte strings in a [`PackedTable`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PackedBackend {
-    spill_threshold: usize,
-}
-
-impl PackedBackend {
-    /// A packed backend with no disk spill.
-    #[must_use]
-    pub fn new() -> Self {
-        PackedBackend::default()
-    }
-
-    /// Enables disk spill: whenever the resident encoding arena exceeds
-    /// `threshold` bytes it is appended to an unlinked temp file. `0`
-    /// disables spilling.
-    #[must_use]
-    pub fn with_spill_threshold(mut self, threshold: usize) -> Self {
-        self.spill_threshold = threshold;
-        self
-    }
-}
+pub struct PackedBackend;
 
 /// Store built by [`PackedBackend`].
 pub struct PackedStore<S> {
@@ -205,7 +176,7 @@ where
 
     fn new_store(&self) -> PackedStore<S> {
         PackedStore {
-            table: PackedTable::new().with_spill_threshold(self.spill_threshold),
+            table: PackedTable::new(),
             _state: PhantomData,
         }
     }
@@ -248,9 +219,5 @@ where
 
     fn approx_bytes(&self) -> usize {
         self.table.approx_bytes()
-    }
-
-    fn spilled_bytes(&self) -> u64 {
-        self.table.spilled_bytes()
     }
 }

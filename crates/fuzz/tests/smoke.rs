@@ -122,3 +122,56 @@ fn smoke_campaign_is_deterministic() {
         assert_eq!(x.found_at_exec, y.found_at_exec);
     }
 }
+
+/// EXPERIMENTS E12's rediscovery sweep: seed 7, one worker, at most 600
+/// executions of at most 400 steps, stopping at the first violation.
+/// Each row is `(target, property, found at exec, shrunk genes, genes
+/// before shrinking, trace actions)`; every witness keeps a crash gene
+/// and replays, and the two crash-tolerant targets find nothing.
+#[test]
+fn rediscovery_sweep_table() {
+    let cfg = FuzzConfig {
+        seed: 7,
+        workers: 1,
+        max_execs: 600,
+        max_steps: 400,
+        ..FuzzConfig::default()
+    };
+    let expected = [
+        ("abp", "DL4", 11, 4, 22, 15),
+        ("go-back-2", "DL4", 11, 4, 22, 15),
+        ("go-back-8", "DL8", 62, 4, 9, 15),
+        ("selective-repeat-4", "DL8", 62, 4, 9, 15),
+        ("fragmenting", "DL8", 16, 4, 17, 27),
+        ("parity", "DL4", 11, 4, 22, 15),
+        ("stenning", "DL4", 11, 4, 22, 15),
+        ("quirky", "DL4", 11, 4, 22, 15),
+    ];
+    let mut found = 0;
+    for t in dl_fuzz::all_targets() {
+        let report = fuzz(t, &cfg);
+        let row = report.counterexamples.first().map(|c| {
+            assert!(c.replay_verified, "{}: replay failed", t.name);
+            assert!(
+                c.genome.genes.iter().any(|g| matches!(g, Gene::Crash(_))),
+                "{}: witness lost its crash",
+                t.name
+            );
+            (
+                t.name,
+                c.violation.property,
+                c.found_at_exec,
+                c.genome.genes.len(),
+                c.original_genes,
+                c.trace.len(),
+            )
+        });
+        let want = expected.iter().find(|r| r.0 == t.name).copied();
+        assert_eq!(row, want, "{}", t.name);
+        match want {
+            Some(_) => found += 1,
+            None => assert_eq!(report.executions, 600, "{}", t.name),
+        }
+    }
+    assert_eq!(found, expected.len(), "a sweep target went missing");
+}

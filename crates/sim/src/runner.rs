@@ -1097,12 +1097,27 @@ mod tests {
         }
     }
 
+    fn data_headers(metrics: &Metrics) -> usize {
+        metrics
+            .headers_used
+            .iter()
+            .filter(|h| h.tag == dl_core::action::Tag::Data)
+            .count()
+    }
+
     #[test]
     fn abp_header_usage_is_bounded() {
         let sys = abp_system(LossMode::None);
         let mut runner = Runner::new(1, 100_000);
         let report = runner.run(&sys, &Script::deliver_n(20));
         assert!(report.metrics.headers_used.len() <= 4);
+        // EXPERIMENTS E7(a)'s control: two DATA headers, however many
+        // messages.
+        for n in [10, 100, 1_000] {
+            let report = Runner::new(1, 100_000).run(&sys, &Script::deliver_n(n));
+            assert!(report.quiescent);
+            assert_eq!(data_headers(&report.metrics), 2, "{n} messages");
+        }
     }
 
     #[test]
@@ -1114,17 +1129,12 @@ mod tests {
             LossyFifoChannel::perfect(Dir::TR),
             LossyFifoChannel::perfect(Dir::RT),
         );
-        let mut runner = Runner::new(1, 100_000);
-        let report = runner.run(&sys, &Script::deliver_n(15));
-        assert!(report.quiescent);
-        // 15 data headers + ack headers.
-        let data_headers = report
-            .metrics
-            .headers_used
-            .iter()
-            .filter(|h| h.tag == dl_core::action::Tag::Data)
-            .count();
-        assert_eq!(data_headers, 15);
+        // EXPERIMENTS E7(a): one fresh DATA header per message.
+        for n in [10, 15, 100, 1_000] {
+            let report = Runner::new(1, 100_000).run(&sys, &Script::deliver_n(n));
+            assert!(report.quiescent);
+            assert_eq!(data_headers(&report.metrics), n as usize, "{n} messages");
+        }
     }
 
     #[test]

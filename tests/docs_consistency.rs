@@ -1,6 +1,6 @@
-//! Documentation consistency: the bench targets and examples the
-//! documentation points at actually exist, so EXPERIMENTS.md's
-//! "regenerate" lines never rot.
+//! Documentation consistency: the tests and examples the documentation
+//! points at actually exist, so EXPERIMENTS.md's "regenerate" lines never
+//! rot.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -10,13 +10,37 @@ fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
+/// The `**Regenerate.**` paragraphs of EXPERIMENTS.md, each joined into
+/// one line (a paragraph ends at the next blank line).
+fn regenerate_paragraphs(text: &str) -> Vec<String> {
+    let mut paragraphs = Vec::new();
+    let mut current: Option<String> = None;
+    for line in text.lines() {
+        if line.trim().is_empty() {
+            paragraphs.extend(current.take());
+        } else if let Some(p) = current.as_mut() {
+            p.push(' ');
+            p.push_str(line);
+        } else if line.starts_with("**Regenerate.**") {
+            current = Some(line.to_string());
+        }
+    }
+    paragraphs.extend(current);
+    paragraphs
+}
+
 #[test]
-fn experiments_bench_targets_exist() {
+fn experiments_regenerate_tests_exist() {
     let text = fs::read_to_string(repo_root().join("EXPERIMENTS.md")).unwrap();
     let mut referenced = BTreeSet::new();
-    for line in text.lines() {
-        if let Some(idx) = line.find("--bench ") {
-            let rest = &line[idx + "--bench ".len()..];
+    for paragraph in regenerate_paragraphs(&text) {
+        assert!(
+            !paragraph.contains("--bench"),
+            "EXPERIMENTS.md regenerates from a bench target, but the \
+             workspace has none: {paragraph}"
+        );
+        for (idx, _) in paragraph.match_indices("--test ") {
+            let rest = &paragraph[idx + "--test ".len()..];
             let name: String = rest
                 .chars()
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
@@ -28,27 +52,20 @@ fn experiments_bench_targets_exist() {
     }
     assert!(
         !referenced.is_empty(),
-        "EXPERIMENTS.md references no bench targets"
+        "no EXPERIMENTS.md Regenerate line names a test"
     );
+    let crates: Vec<_> = fs::read_dir(repo_root().join("crates"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
     for name in &referenced {
-        let path = repo_root().join(format!("crates/bench/benches/{name}.rs"));
+        let file = format!("{name}.rs");
+        let found = repo_root().join("tests").join(&file).exists()
+            || crates.iter().any(|c| c.join("tests").join(&file).exists());
         assert!(
-            path.exists(),
-            "EXPERIMENTS.md references missing bench {name}"
-        );
-    }
-}
-
-#[test]
-fn all_bench_files_are_registered() {
-    let manifest = fs::read_to_string(repo_root().join("crates/bench/Cargo.toml")).unwrap();
-    for entry in fs::read_dir(repo_root().join("crates/bench/benches")).unwrap() {
-        let file = entry.unwrap().file_name();
-        let name = file.to_string_lossy();
-        let stem = name.trim_end_matches(".rs");
-        assert!(
-            manifest.contains(&format!("name = \"{stem}\"")),
-            "bench file {name} not registered in crates/bench/Cargo.toml"
+            found,
+            "EXPERIMENTS.md regenerates from missing test {name} \
+             (looked in tests/ and crates/*/tests/)"
         );
     }
 }

@@ -77,30 +77,36 @@ fn woken_start<M: Automaton<Action = DlAction>>(sys: &M) -> M::State {
     sys.step_first(&s1, &DlAction::Wake(Dir::RT)).unwrap()
 }
 
+/// EXPERIMENTS E9's capacity sweep: crash-free ABP with 2 messages is
+/// exhaustively safe at channel capacities 1, 2 and 3, with pinned state
+/// counts, plain-arena bytes and dedup hits.
 #[test]
 fn abp_crash_free_safety_is_exhaustive() {
-    let p = datalink::protocols::abp::protocol();
-    let sys = checked_system(
-        p.transmitter,
-        p.receiver,
-        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 2),
-        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 2),
-    );
-    let start = woken_start(&sys);
-    let explorer = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000);
-    let report = explorer.check_invariant_from(vec![start], |s| observer_of(s).is_safe());
-    assert!(
-        report.holds(),
-        "violation or truncation: {:?} (visited {})",
-        report.violation.map(|v| v.path),
-        report.states_visited
-    );
-    eprintln!(
-        "ABP crash-free: {} states over {} layers ({} threads), exhaustively safe",
-        report.states_visited,
-        report.layers.len(),
-        report.threads
-    );
+    for (cap, states, arena_bytes, dedup_hits) in [
+        (1, 232, 65_536, 863),
+        (2, 594, 258_048, 2_449),
+        (3, 1_178, 516_096, 5_090),
+    ] {
+        let p = datalink::protocols::abp::protocol();
+        let sys = checked_system(
+            p.transmitter,
+            p.receiver,
+            LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, cap),
+            LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, cap),
+        );
+        let start = woken_start(&sys);
+        let explorer = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000);
+        let report = explorer.check_invariant_from(vec![start], |s| observer_of(s).is_safe());
+        assert!(
+            report.holds(),
+            "capacity {cap}: violation or truncation: {:?} (visited {})",
+            report.violation.map(|v| v.path),
+            report.states_visited
+        );
+        assert_eq!(report.states_visited, states, "capacity {cap}: states");
+        assert_eq!(report.arena_bytes, arena_bytes, "capacity {cap}: arena");
+        assert_eq!(report.dedup_hits(), dedup_hits, "capacity {cap}: dedup");
+    }
 }
 
 #[test]
@@ -140,13 +146,20 @@ fn crash_inputs<TS, RS, CS1, CS2>(
 fn abp_duplicate_delivery_reachable_with_receiver_crash() {
     // Allowing crash^{r,t} (followed by re-wake) opens a short path to
     // DL4: deliver m0, crash the receiver (expected bit resets), let the
-    // duplicate DATA#0 still in flight be re-accepted.
+    // duplicate DATA#0 still in flight be re-accepted. Lossless and
+    // lossy channels give the same 8-action path (EXPERIMENTS E9).
+    for (mode, states) in [(LossMode::None, 91), (LossMode::Nondet, 97)] {
+        abp_crash_dl4(mode, states);
+    }
+}
+
+fn abp_crash_dl4(mode: LossMode, states: usize) {
     let p = datalink::protocols::abp::protocol();
     let sys = checked_system(
         p.transmitter,
         p.receiver,
-        LossyFifoChannel::with_capacity(Dir::TR, LossMode::None, 2),
-        LossyFifoChannel::with_capacity(Dir::RT, LossMode::None, 2),
+        LossyFifoChannel::with_capacity(Dir::TR, mode, 2),
+        LossyFifoChannel::with_capacity(Dir::RT, mode, 2),
     );
     let start = woken_start(&sys);
     let explorer = ParallelExplorer::new(
@@ -162,11 +175,8 @@ fn abp_duplicate_delivery_reachable_with_receiver_crash() {
     );
     let report = explorer.check_invariant_from(vec![start], |s| observer_of(s).is_safe());
     let v = report.violation.expect("DL4 must be reachable");
-    eprintln!(
-        "ABP + receiver crash: DL4 path of {} actions through {} states",
-        v.path.len(),
-        report.states_visited
-    );
+    assert_eq!(v.path.len(), 8, "{mode:?}: path length");
+    assert_eq!(report.states_visited, states, "{mode:?}: states");
     assert!(matches!(
         observer_of(&v.state).flag,
         Some(datalink::core::observer::SafetyFlag::Duplicate(Msg(0)))
@@ -275,6 +285,40 @@ fn differential_abp_crash_free_matches_sequential_at_1_2_4_threads() {
             par.quiescent_states, seq.quiescent_states,
             "quiescent_states diverged at {threads} threads"
         );
+    }
+}
+
+/// EXPERIMENTS E9's largest configuration (capacity-4 channels, 4
+/// messages): every thread count reproduces the sequential oracle's
+/// verdict and the pinned counts.
+#[test]
+fn differential_abp_capacity_4_matches_sequential_at_1_2_4_threads() {
+    let p = datalink::protocols::abp::protocol();
+    let sys = checked_system(
+        p.transmitter,
+        p.receiver,
+        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 4),
+        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 4),
+    );
+    let start = woken_start(&sys);
+
+    let seq = Explorer::new(&sys, crash_free_inputs(4), 8_000_000, 100_000)
+        .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
+    assert!(seq.holds());
+    assert_eq!((seq.states_visited, seq.quiescent_states), (11_841, 1));
+
+    for threads in [1usize, 2, 4] {
+        let par = ParallelExplorer::new(&sys, crash_free_inputs(4), 8_000_000, 100_000)
+            .threads(threads)
+            .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
+        assert!(
+            par.holds(),
+            "parallel engine disagrees at {threads} threads"
+        );
+        assert_eq!(par.states_visited, 11_841, "{threads} threads");
+        assert_eq!(par.quiescent_states, 1, "{threads} threads");
+        assert_eq!(par.dedup_hits(), 60_444, "{threads} threads");
+        assert_eq!(par.arena_bytes, 4_128_768, "{threads} threads");
     }
 }
 
@@ -509,7 +553,7 @@ fn monitor_trace_property_matches_observer_on_crash_dl4() {
 
 /// On the crash-free model the monitor stays quiet, and threading it
 /// does not perturb the search: same reachable-state counts as the
-/// observer-invariant exploration.
+/// observer-invariant exploration, at 1, 2 and 4 threads.
 #[test]
 fn monitor_trace_property_quiet_on_crash_free_abp() {
     let p = datalink::protocols::abp::protocol();
@@ -525,17 +569,19 @@ fn monitor_trace_property_quiet_on_crash_free_abp() {
         .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
     assert!(observer.holds());
 
-    let monitor = MonitorProperty::new(false, true).with_prefix(&WAKE_PREFIX);
-    let traced = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000)
-        .threads(2)
-        .check_traced_from(vec![start.clone()], &[], &monitor);
-    assert!(
-        traced.holds(),
-        "monitor flagged a crash-free ABP run: {:?}",
-        traced.violation.map(|v| v.property)
-    );
-    assert_eq!(traced.states_visited, observer.states_visited);
-    assert_eq!(traced.quiescent_states, observer.quiescent_states);
+    for threads in [1usize, 2, 4] {
+        let monitor = MonitorProperty::new(false, true).with_prefix(&WAKE_PREFIX);
+        let traced = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000)
+            .threads(threads)
+            .check_traced_from(vec![start.clone()], &[], &monitor);
+        assert!(
+            traced.holds(),
+            "monitor flagged a crash-free ABP run at {threads} threads: {:?}",
+            traced.violation.map(|v| v.property)
+        );
+        assert_eq!(traced.states_visited, observer.states_visited);
+        assert_eq!(traced.quiescent_states, observer.quiescent_states);
+    }
 }
 
 /// E14's reachability leg: from a **corrupted** initial configuration —
