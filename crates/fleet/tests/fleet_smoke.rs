@@ -66,3 +66,28 @@ fn ledger_round_trips_and_is_gateable() {
     let back = RunLedger::from_json(&ledger.to_json()).unwrap();
     assert_eq!(back, ledger);
 }
+
+/// The E13 table's deterministic columns (EXPERIMENTS.md): the default
+/// classic-nine fleet at seed 13, 10²–10⁴ sessions. Every zoo station
+/// steps through these runs, so a transition change anywhere in the
+/// classic nine moves at least one of these counts.
+#[test]
+fn e13_table_rows_are_pinned() {
+    for (sessions, actions, violations, peak_session_bytes) in [
+        (100, 12_648, 2, 4_048),
+        (1_000, 106_196, 31, 4_048),
+        (10_000, 942_726, 330, 4_416),
+    ] {
+        let report = run_fleet(&FleetSpec {
+            seed: 13,
+            sessions,
+            workers: 2,
+            ..FleetSpec::default()
+        });
+        assert_eq!(
+            (report.actions, report.violations, report.peak_session_bytes),
+            (actions, violations, peak_session_bytes),
+            "E13 row for {sessions} sessions"
+        );
+    }
+}
