@@ -23,7 +23,7 @@ use std::ops::ControlFlow;
 use ioa::action::ActionClass;
 use ioa::automaton::Automaton;
 
-use crate::action::{Dir, DlAction, Packet, Station};
+use crate::action::{Dir, DlAction, Station};
 use crate::equivalence::MsgRenaming;
 
 /// The §5.1 signature of a transmitting automaton for `(t, r)`.
@@ -118,26 +118,234 @@ pub fn owning_station(a: &DlAction) -> Station {
 pub trait StationAutomaton: Automaton<Action = DlAction> {
     /// The station this automaton runs at.
     fn station(&self) -> Station;
+}
+
+/// The transition logic of a deterministic station automaton: a finite
+/// control with send and receive transitions (Pachl's communicating
+/// finite-state machine), written once.
+///
+/// [`station_automaton!`](crate::station_automaton) derives
+/// [`Automaton`] and [`StationAutomaton`] from these four items, under
+/// the zoo conventions (`dl-protocols`):
+///
+/// * the signature is the §5.1 signature of [`STATION`](Self::STATION),
+///   and so is the task partition — one task at the transmitter; at the
+///   receiver, `receive_msg` is task 1 of 2;
+/// * the unique start state is `corrupted_start(0)`;
+/// * every input is enabled, and a locally-controlled action is enabled
+///   iff [`for_each_local`](Self::for_each_local) offers it up to the
+///   packet uid, which executors stamp and transitions ignore;
+/// * the unique successor of an enabled action is [`apply`](Self::apply)
+///   of it — in place for [`Automaton::step_in_place`], on a clone for
+///   the by-value methods.
+///
+/// The trait extends the derived [`Automaton`] only to share its state
+/// type; implementations never override `Automaton` by hand.
+pub trait StationLogic: Automaton<Action = DlAction> {
+    /// The station this automaton runs at.
+    const STATION: Station;
 
     /// A **corrupted initial configuration** (the arXiv 1011.3632 fault
     /// class, generalized to the whole zoo): the start state with its
-    /// protocol counters skewed by `seq`. Protocols override this to map
-    /// `seq` into whatever sequence/window/bit machinery they keep;
-    /// the default is the honest start state, and every implementation
-    /// must satisfy `corrupted_start(0) == start_states()[0]` so that a
-    /// zero skew is indistinguishable from no corruption at all.
-    fn corrupted_start(&self, seq: u64) -> Self::State {
-        let _ = seq;
-        self.start_states()
-            .into_iter()
-            .next()
-            .expect("station automata have a start state")
+    /// protocol counters skewed by `seq`. `corrupted_start(0)` is the
+    /// honest start state, so a zero skew is indistinguishable from no
+    /// corruption at all.
+    fn corrupted_start(&self, seq: u64) -> Self::State;
+
+    /// Steps `state` in place by `action`. Only called for an action
+    /// enabled in `state` (see the trait docs): the action is in this
+    /// station's signature, so its direction and station fields need no
+    /// matching, and a locally-controlled action's guard already held.
+    fn apply(&self, state: &mut Self::State, action: &DlAction);
+
+    /// Visits every enabled locally-controlled action in a fixed order,
+    /// with [`Packet::UNSTAMPED`](crate::action::Packet::UNSTAMPED) uids,
+    /// stopping early when `f` breaks.
+    fn for_each_local(
+        &self,
+        state: &Self::State,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()>;
+}
+
+/// Writes [`Automaton`] and [`StationAutomaton`] for types implementing
+/// [`StationLogic`], each given with its state type:
+///
+/// ```ignore
+/// dl_core::station_automaton!(AbpTransmitter => AbpTxState, AbpReceiver => AbpRxState);
+/// ```
+///
+/// A blanket impl is not possible: `Automaton` is foreign to this crate
+/// (orphan rule), and in `ioa` it would collide with `impl Automaton for &A`.
+#[macro_export]
+macro_rules! station_automaton {
+    ($($station:ty => $state:ty),+ $(,)?) => {
+        $($crate::station_automaton!(@impl [] $station => $state);)+
+    };
+    (@impl [$($generics:tt)*] $station:ty => $state:ty) => {
+        impl<$($generics)*> $crate::protocol::station_support::Automaton for $station {
+            type Action = $crate::action::DlAction;
+            type State = $state;
+
+            fn start_states(&self) -> ::std::vec::Vec<$state> {
+                ::std::vec![$crate::protocol::StationLogic::corrupted_start(self, 0)]
+            }
+            fn classify(
+                &self,
+                a: &$crate::action::DlAction,
+            ) -> ::std::option::Option<$crate::protocol::station_support::ActionClass> {
+                $crate::protocol::station_classify(
+                    <Self as $crate::protocol::StationLogic>::STATION,
+                    a,
+                )
+            }
+            fn successors(&self, s: &$state, a: &$crate::action::DlAction) -> ::std::vec::Vec<$state> {
+                $crate::protocol::station_support::step(self, s, a).into_iter().collect()
+            }
+            fn enabled_local(&self, s: &$state) -> ::std::vec::Vec<$crate::action::DlAction> {
+                $crate::protocol::station_support::enabled_local(self, s)
+            }
+            fn task_of(&self, a: &$crate::action::DlAction) -> $crate::protocol::station_support::TaskId {
+                $crate::protocol::station_support::task_of(
+                    <Self as $crate::protocol::StationLogic>::STATION,
+                    a,
+                )
+            }
+            fn task_count(&self) -> usize {
+                $crate::protocol::station_support::task_count(
+                    <Self as $crate::protocol::StationLogic>::STATION,
+                )
+            }
+            fn try_for_each_successor(
+                &self,
+                s: &$state,
+                a: &$crate::action::DlAction,
+                f: &mut dyn FnMut($state) -> ::std::ops::ControlFlow<()>,
+            ) -> ::std::ops::ControlFlow<()> {
+                match $crate::protocol::station_support::step(self, s, a) {
+                    ::std::option::Option::Some(t) => f(t),
+                    ::std::option::Option::None => ::std::ops::ControlFlow::Continue(()),
+                }
+            }
+            fn step_first(&self, s: &$state, a: &$crate::action::DlAction) -> ::std::option::Option<$state> {
+                $crate::protocol::station_support::step(self, s, a)
+            }
+            fn step_in_place(
+                &self,
+                s: &mut $state,
+                a: &$crate::action::DlAction,
+                choose: &mut dyn FnMut(usize) -> ::std::option::Option<usize>,
+            ) -> bool {
+                $crate::protocol::station_support::step_in_place(self, s, a, choose)
+            }
+            fn is_enabled(&self, s: &$state, a: &$crate::action::DlAction) -> bool {
+                $crate::protocol::station_support::is_enabled(self, s, a)
+            }
+            fn for_each_enabled_local(
+                &self,
+                s: &$state,
+                f: &mut dyn FnMut($crate::action::DlAction) -> ::std::ops::ControlFlow<()>,
+            ) -> ::std::ops::ControlFlow<()> {
+                $crate::protocol::StationLogic::for_each_local(self, s, f)
+            }
+        }
+
+        impl<$($generics)*> $crate::protocol::StationAutomaton for $station {
+            fn station(&self) -> $crate::action::Station {
+                <Self as $crate::protocol::StationLogic>::STATION
+            }
+        }
+    };
+}
+
+/// The generic bodies behind [`station_automaton!`](crate::station_automaton);
+/// not an API of its own.
+#[doc(hidden)]
+pub mod station_support {
+    use std::ops::ControlFlow;
+
+    pub use ioa::action::ActionClass;
+    pub use ioa::automaton::{Automaton, TaskId};
+
+    use super::{station_classify, StationLogic};
+    use crate::action::{DlAction, Packet, Station};
+
+    /// Every input is enabled; a locally-controlled action is enabled iff
+    /// [`StationLogic::for_each_local`] offers it up to the packet uid.
+    pub fn is_enabled<L: StationLogic>(logic: &L, s: &L::State, a: &DlAction) -> bool {
+        match station_classify(L::STATION, a) {
+            None => false,
+            Some(ActionClass::Input) => true,
+            Some(_) => {
+                let wanted = a.with_packet_uid(Packet::UNSTAMPED);
+                logic
+                    .for_each_local(s, &mut |e| {
+                        if e.with_packet_uid(Packet::UNSTAMPED) == wanted {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    })
+                    .is_break()
+            }
+        }
+    }
+
+    /// The unique successor of `(s, a)`, or `None` when `a` is disabled.
+    pub fn step<L: StationLogic>(logic: &L, s: &L::State, a: &DlAction) -> Option<L::State> {
+        is_enabled(logic, s, a).then(|| {
+            let mut t = s.clone();
+            logic.apply(&mut t, a);
+            t
+        })
+    }
+
+    /// [`Automaton::step_in_place`] without a clone: checks enabledness,
+    /// asks `choose(1)`, then applies.
+    pub fn step_in_place<L: StationLogic>(
+        logic: &L,
+        s: &mut L::State,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> Option<usize>,
+    ) -> bool {
+        if !is_enabled(logic, s, a) || choose(1).is_none() {
+            return false;
+        }
+        logic.apply(s, a);
+        true
+    }
+
+    /// [`StationLogic::for_each_local`], collected.
+    pub fn enabled_local<L: StationLogic>(logic: &L, s: &L::State) -> Vec<DlAction> {
+        let mut out = Vec::new();
+        let _ = logic.for_each_local(s, &mut |a| {
+            out.push(a);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// The transmitter has one task; at the receiver, `receive_msg` is
+    /// task 1 and its `send_pkt` task 0.
+    pub fn task_of(station: Station, a: &DlAction) -> TaskId {
+        match (station, a) {
+            (Station::R, DlAction::ReceiveMsg(_)) => TaskId(1),
+            _ => TaskId(0),
+        }
+    }
+
+    /// See [`task_of`].
+    pub fn task_count(station: Station) -> usize {
+        match station {
+            Station::T => 1,
+            Station::R => 2,
+        }
     }
 }
 
-/// An adapter placing a station automaton in a corrupted initial
-/// configuration: identical to the inner automaton except that its unique
-/// start state is [`StationAutomaton::corrupted_start`] of `seq`.
+/// An adapter placing a station in a corrupted initial configuration:
+/// identical to the inner station except that its unique start state is
+/// [`StationLogic::corrupted_start`] of `seq`.
 ///
 /// With `seq == 0` the adapter is behaviorally identical to the inner
 /// automaton (see the `corrupted_start` contract), which is what lets the
@@ -156,121 +364,29 @@ impl<A> CorruptedStart<A> {
     }
 }
 
-impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
-    type Action = DlAction;
-    type State = A::State;
+/// Further skews add to the adapter's own, so `corrupted_start(0)` — the
+/// derived start state — is the inner station's `corrupted_start(seq)`.
+impl<L: StationLogic> StationLogic for CorruptedStart<L> {
+    const STATION: Station = L::STATION;
 
-    fn start_states(&self) -> Vec<A::State> {
-        vec![self.inner.corrupted_start(self.seq)]
+    fn corrupted_start(&self, seq: u64) -> L::State {
+        self.inner.corrupted_start(self.seq.wrapping_add(seq))
     }
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        self.inner.classify(a)
+    fn apply(&self, s: &mut L::State, a: &DlAction) {
+        self.inner.apply(s, a);
     }
-    fn successors(&self, s: &A::State, a: &DlAction) -> Vec<A::State> {
-        self.inner.successors(s, a)
-    }
-    fn try_for_each_successor(
+    fn for_each_local(
         &self,
-        s: &A::State,
-        a: &DlAction,
-        f: &mut dyn FnMut(A::State) -> std::ops::ControlFlow<()>,
-    ) -> std::ops::ControlFlow<()> {
-        self.inner.try_for_each_successor(s, a, f)
-    }
-    fn step_first(&self, s: &A::State, a: &DlAction) -> Option<A::State> {
-        self.inner.step_first(s, a)
-    }
-    fn step_in_place(
-        &self,
-        s: &mut A::State,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        self.inner.step_in_place(s, a, choose)
-    }
-    fn restore(&self, s: &mut A::State, from: &A::State, a: &DlAction) {
-        self.inner.restore(s, from, a);
-    }
-    fn is_enabled(&self, s: &A::State, a: &DlAction) -> bool {
-        self.inner.is_enabled(s, a)
-    }
-    fn enabled_local(&self, s: &A::State) -> Vec<DlAction> {
-        self.inner.enabled_local(s)
-    }
-    fn for_each_enabled_local(
-        &self,
-        s: &A::State,
-        f: &mut dyn FnMut(DlAction) -> std::ops::ControlFlow<()>,
-    ) -> std::ops::ControlFlow<()> {
-        self.inner.for_each_enabled_local(s, f)
-    }
-    fn task_of(&self, a: &DlAction) -> ioa::automaton::TaskId {
-        self.inner.task_of(a)
-    }
-    fn task_count(&self) -> usize {
-        self.inner.task_count()
+        s: &L::State,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.inner.for_each_local(s, f)
     }
 }
 
-/// [`Automaton::step_in_place`] for a deterministic automaton whose
-/// transition is already computed: `next` is the unique successor of
-/// `(state, action)`, or `None` when the action is disabled. Asks
-/// `choose(1)` and, unless it declines, moves `next` into `state`.
-///
-/// The protocol zoo builds `next` by cloning only the station's own
-/// state, so a composed step through this helper never copies the other
-/// components.
-pub fn step_deterministic<S>(
-    next: Option<S>,
-    state: &mut S,
-    choose: &mut dyn FnMut(usize) -> Option<usize>,
-) -> bool {
-    match next {
-        Some(t) if choose(1).is_some() => {
-            *state = t;
-            true
-        }
-        _ => false,
-    }
-}
+crate::station_automaton!(@impl [L: StationLogic] CorruptedStart<L> => L::State);
 
-/// Clone-free [`Automaton::is_enabled`] for a station automaton that
-/// follows the zoo conventions (see `dl-protocols`): every input is
-/// enabled, and a locally-controlled action is enabled iff
-/// [`Automaton::for_each_enabled_local`] offers it up to the packet uid,
-/// which executors stamp and transitions ignore.
-pub fn station_is_enabled<A>(automaton: &A, s: &A::State, a: &DlAction) -> bool
-where
-    A: Automaton<Action = DlAction> + ?Sized,
-{
-    match automaton.classify(a) {
-        None => false,
-        Some(ActionClass::Input) => true,
-        Some(_) => {
-            let wanted = a.with_packet_uid(Packet::UNSTAMPED);
-            automaton
-                .for_each_enabled_local(s, &mut |e| {
-                    if e.with_packet_uid(Packet::UNSTAMPED) == wanted {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                })
-                .is_break()
-        }
-    }
-}
-
-impl<A: StationAutomaton> StationAutomaton for CorruptedStart<A> {
-    fn station(&self) -> Station {
-        self.inner.station()
-    }
-    fn corrupted_start(&self, seq: u64) -> Self::State {
-        self.inner.corrupted_start(seq)
-    }
-}
-
-impl<A: StationAutomaton + MessageIndependent> MessageIndependent for CorruptedStart<A> {
+impl<L: StationLogic + MessageIndependent> MessageIndependent for CorruptedStart<L> {
     fn relabel_state(&self, state: &Self::State, renaming: &MsgRenaming) -> Self::State {
         self.inner.relabel_state(state, renaming)
     }
@@ -555,85 +671,80 @@ mod tests {
         );
     }
 
-    /// A trivial conforming transmitter used to exercise the audits.
+    /// Trivial conforming stations used to exercise the audits and the
+    /// derived impls: inputs count (crash resets), nothing is local.
     #[derive(Clone)]
     struct NullTransmitter;
-    impl Automaton for NullTransmitter {
-        type Action = DlAction;
-        type State = u8;
-
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
-        }
-        fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-            transmitter_classify(a)
-        }
-        fn successors(&self, s: &u8, a: &DlAction) -> Vec<u8> {
-            match self.classify(a) {
-                Some(ActionClass::Input) => {
-                    if *a == DlAction::Crash(Station::T) {
-                        vec![0]
-                    } else {
-                        vec![s.wrapping_add(1)]
-                    }
-                }
-                _ => vec![],
-            }
-        }
-        fn enabled_local(&self, _s: &u8) -> Vec<DlAction> {
-            vec![]
-        }
-        fn task_of(&self, _a: &DlAction) -> TaskId {
-            TaskId(0)
-        }
-        fn task_count(&self) -> usize {
-            1
-        }
-    }
-    impl StationAutomaton for NullTransmitter {
-        fn station(&self) -> Station {
-            Station::T
-        }
-    }
-
     #[derive(Clone)]
     struct NullReceiver;
-    impl Automaton for NullReceiver {
-        type Action = DlAction;
-        type State = u8;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+    impl StationLogic for NullTransmitter {
+        const STATION: Station = Station::T;
+        fn corrupted_start(&self, seq: u64) -> u8 {
+            seq as u8
         }
-        fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-            receiver_classify(a)
+        fn apply(&self, s: &mut u8, a: &DlAction) {
+            *s = if *a == DlAction::Crash(Station::T) {
+                0
+            } else {
+                s.wrapping_add(1)
+            };
         }
-        fn successors(&self, s: &u8, a: &DlAction) -> Vec<u8> {
-            match self.classify(a) {
-                Some(ActionClass::Input) => {
-                    if *a == DlAction::Crash(Station::R) {
-                        vec![0]
-                    } else {
-                        vec![*s]
-                    }
-                }
-                _ => vec![],
-            }
-        }
-        fn enabled_local(&self, _s: &u8) -> Vec<DlAction> {
-            vec![]
-        }
-        fn task_of(&self, _a: &DlAction) -> TaskId {
-            TaskId(0)
-        }
-        fn task_count(&self) -> usize {
-            1
+        fn for_each_local(
+            &self,
+            _s: &u8,
+            _f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            ControlFlow::Continue(())
         }
     }
-    impl StationAutomaton for NullReceiver {
-        fn station(&self) -> Station {
-            Station::R
+
+    impl StationLogic for NullReceiver {
+        const STATION: Station = Station::R;
+        fn corrupted_start(&self, _seq: u64) -> u8 {
+            0
         }
+        fn apply(&self, s: &mut u8, a: &DlAction) {
+            if *a == DlAction::Crash(Station::R) {
+                *s = 0;
+            }
+        }
+        fn for_each_local(
+            &self,
+            _s: &u8,
+            _f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            ControlFlow::Continue(())
+        }
+    }
+
+    crate::station_automaton!(NullTransmitter => u8, NullReceiver => u8);
+
+    #[test]
+    fn derived_impls_follow_the_station() {
+        assert_eq!(NullTransmitter.station(), Station::T);
+        assert_eq!(NullReceiver.station(), Station::R);
+        assert_eq!(NullTransmitter.task_count(), 1);
+        assert_eq!(NullReceiver.task_count(), 2);
+        assert_eq!(
+            NullReceiver.task_of(&DlAction::ReceiveMsg(Msg(0))),
+            TaskId(1)
+        );
+        let send = DlAction::SendPkt(Dir::RT, Packet::ack(0));
+        assert_eq!(NullReceiver.task_of(&send), TaskId(0));
+        // Inputs are enabled; an unoffered local action is not.
+        assert_eq!(
+            NullTransmitter.step_first(&4, &DlAction::Wake(Dir::TR)),
+            Some(5)
+        );
+        assert!(!NullReceiver.is_enabled(&0, &send));
+        let mut s = 3;
+        assert!(!NullReceiver.step_in_place(&mut s, &send, &mut |_| Some(0)));
+        assert_eq!(s, 3);
+        // The adapter's start is the inner station's skewed start.
+        let skewed = CorruptedStart::new(NullTransmitter, 7);
+        assert_eq!(skewed.start_states(), vec![7]);
+        assert_eq!(skewed.station(), Station::T);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use ioa::schedule_module::{ScheduleModule, TraceKind, Verdict, Violation};
 
 use dl_channels::{CorruptChannel, CorruptSpec, FaultyChannel, GhostSpec};
 use dl_core::action::{Dir, DlAction, Station};
-use dl_core::protocol::{CorruptedStart, DataLinkProtocol, StationAutomaton};
+use dl_core::protocol::{CorruptedStart, DataLinkProtocol, StationLogic};
 use dl_core::spec::datalink::DlModule;
 use dl_core::spec::stabilize::SuffixMonitor;
 use dl_sim::{link_system, ConformancePolicy, RunReport, Runner};
@@ -196,10 +196,8 @@ pub fn run_protocol<T, R>(
     cfg: &ExecConfig,
 ) -> ExecOutcome
 where
-    T: StationAutomaton,
-    R: StationAutomaton,
-    T::State: std::hash::Hash,
-    R::State: std::hash::Hash,
+    T: StationLogic,
+    R: StationLogic,
 {
     let plan = genome.decode();
     let c = plan.corruption.unwrap_or_default();

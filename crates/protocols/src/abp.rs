@@ -20,15 +20,9 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
 use ioa::intern::PackedCodec;
 
 /// State of the ABP transmitter.
@@ -53,140 +47,46 @@ impl AbpTransmitter {
     pub fn current_packet(s: &AbpTxState) -> Option<Packet> {
         s.queue.front().map(|m| Packet::data(u64::from(s.bit), *m))
     }
-
-    /// The unique post-state of `(s, a)`, or `None` when `a` is not
-    /// enabled. ABP is deterministic, so the whole transition relation
-    /// fits an `Option` — `successors` and the allocation-free visitor
-    /// methods all derive from this one function.
-    fn next(s: &AbpTxState, a: &DlAction) -> Option<AbpTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack
-                    && p.header.seq == u64::from(s.bit)
-                    && !t.queue.is_empty()
-                {
-                    t.queue.pop_front();
-                    t.bit = !t.bit;
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(AbpTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => {
-                // Retransmission leaves the state unchanged; any uid is
-                // accepted.
-                match Self::current_packet(s) {
-                    Some(q) if s.active && p.content() == q => Some(s.clone()),
-                    _ => None,
-                }
-            }
-            _ => None,
-        }
-    }
 }
 
-impl Automaton for AbpTransmitter {
-    type Action = DlAction;
-    type State = AbpTxState;
-
-    fn start_states(&self) -> Vec<AbpTxState> {
-        vec![AbpTxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &AbpTxState, a: &DlAction) -> Vec<AbpTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &AbpTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(AbpTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &AbpTxState, a: &DlAction) -> Option<AbpTxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut AbpTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &AbpTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &AbpTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        Self::current_packet(s)
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .into_iter()
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &AbpTxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if s.active {
-            if let Some(p) = Self::current_packet(s) {
-                f(DlAction::SendPkt(Dir::TR, p))?;
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for AbpTransmitter {
-    fn station(&self) -> Station {
-        Station::T
-    }
+impl StationLogic for AbpTransmitter {
+    const STATION: Station = Station::T;
 
     /// Corruption skews the alternating bit: `seq & 1`.
     fn corrupted_start(&self, seq: u64) -> AbpTxState {
         AbpTxState {
             bit: seq & 1 != 0,
             ..AbpTxState::default()
+        }
+    }
+
+    fn apply(&self, s: &mut AbpTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p)
+                if p.header.tag == Tag::Ack
+                    && p.header.seq == u64::from(s.bit)
+                    && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.bit = !s.bit;
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = AbpTxState::default(),
+            // Retransmissions and ignored packets leave the state unchanged.
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &AbpTxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        match Self::current_packet(s) {
+            Some(p) if s.active => f(DlAction::SendPkt(Dir::TR, p)),
+            _ => ControlFlow::Continue(()),
         }
     }
 }
@@ -218,156 +118,22 @@ pub struct AbpRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AbpReceiver;
 
-impl AbpReceiver {
-    /// Deterministic transition core; see [`AbpTransmitter::next`]'s shape.
-    fn next(s: &AbpRxState, a: &DlAction) -> Option<AbpRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data && p.header.seq <= 1 {
-                    if let Some(m) = p.payload {
-                        let b = p.header.seq == 1;
-                        if b == s.expected {
-                            t.deliver.push_back(m);
-                            t.expected = !t.expected;
-                        }
-                        // Acknowledge fresh and duplicate data alike
-                        // (bounded buffer; see MAX_PENDING_ACKS).
-                        if t.acks.len() < MAX_PENDING_ACKS {
-                            t.acks.push_back(b);
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::R) => Some(AbpRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&b) if s.active && p.content() == Packet::ack(u64::from(b)) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
 /// Bound on the acknowledgement output buffer. Overflowing acks are
 /// dropped — harmless, since every retransmitted data packet regenerates
 /// one — and the bound keeps the reachable state space finite for
 /// exhaustive exploration.
 pub const MAX_PENDING_ACKS: usize = 2;
 
-impl Automaton for AbpReceiver {
-    type Action = DlAction;
-    type State = AbpRxState;
-
-    fn start_states(&self) -> Vec<AbpRxState> {
-        vec![AbpRxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &AbpRxState, a: &DlAction) -> Vec<AbpRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &AbpRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(AbpRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &AbpRxState, a: &DlAction) -> Option<AbpRxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut AbpRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &AbpRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &AbpRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &AbpRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
+/// Owes `ack` unless [`MAX_PENDING_ACKS`] acknowledgements are owed
+/// already; every zoo receiver buffers its acks this way.
+pub(crate) fn push_ack<T>(acks: &mut VecDeque<T>, ack: T) {
+    if acks.len() < MAX_PENDING_ACKS {
+        acks.push_back(ack);
     }
 }
 
-impl StationAutomaton for AbpReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for AbpReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption skews the expected bit: `seq & 1`.
     fn corrupted_start(&self, seq: u64) -> AbpRxState {
@@ -376,7 +142,49 @@ impl StationAutomaton for AbpReceiver {
             ..AbpRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut AbpRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                if let (Tag::Data, 0..=1, Some(m)) = (p.header.tag, p.header.seq, p.payload) {
+                    let b = p.header.seq == 1;
+                    if b == s.expected {
+                        s.deliver.push_back(m);
+                        s.expected = !s.expected;
+                    }
+                    // Acknowledge fresh and duplicate data alike.
+                    push_ack(&mut s.acks, b);
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = AbpRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &AbpRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&b) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(AbpTransmitter => AbpTxState, AbpReceiver => AbpRxState);
 
 impl MessageIndependent for AbpReceiver {
     fn relabel_state(&self, s: &AbpRxState, r: &MsgRenaming) -> AbpRxState {
@@ -441,6 +249,7 @@ impl PackedCodec for AbpRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     fn tx_after(actions: &[DlAction]) -> AbpTxState {
         let t = AbpTransmitter;

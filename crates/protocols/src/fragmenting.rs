@@ -22,15 +22,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
+
+use crate::abp::push_ack;
 use ioa::intern::PackedCodec;
 
 /// Header sequence for fragment `part` of bit `b`.
@@ -65,141 +61,15 @@ pub struct FragTxState {
 pub struct FragTransmitter;
 
 impl FragTransmitter {
-    fn fragments(s: &FragTxState) -> Vec<Packet> {
-        (0..2).filter_map(|i| Self::nth_fragment(s, i)).collect()
-    }
-
     /// Fragment `i` of the front message, without materializing the list.
     fn nth_fragment(s: &FragTxState, i: u8) -> Option<Packet> {
         let m = *s.queue.front()?;
         (i < 2).then(|| Packet::data(frag_seq(s.bit, i), m))
     }
-
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &FragTxState, a: &DlAction) -> Option<FragTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack
-                    && p.header.seq == u64::from(s.bit)
-                    && !t.queue.is_empty()
-                {
-                    t.queue.pop_front();
-                    t.bit = !t.bit;
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(FragTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => {
-                let fires = s.active
-                    && (0..2).any(|i| Self::nth_fragment(s, i).is_some_and(|q| p.content() == q));
-                fires.then(|| s.clone())
-            }
-            _ => None,
-        }
-    }
 }
 
-impl Automaton for FragTransmitter {
-    type Action = DlAction;
-    type State = FragTxState;
-
-    fn start_states(&self) -> Vec<FragTxState> {
-        vec![FragTxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &FragTxState, a: &DlAction) -> Vec<FragTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &FragTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(FragTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &FragTxState, a: &DlAction) -> Option<FragTxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut FragTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &FragTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &FragTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        Self::fragments(s)
-            .into_iter()
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &FragTxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if s.active {
-            for i in 0..2 {
-                match Self::nth_fragment(s, i) {
-                    Some(p) => f(DlAction::SendPkt(Dir::TR, p))?,
-                    None => break,
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for FragTransmitter {
-    fn station(&self) -> Station {
-        Station::T
-    }
+impl StationLogic for FragTransmitter {
+    const STATION: Station = Station::T;
 
     /// Corruption skews the alternating bit: `seq & 1`.
     fn corrupted_start(&self, seq: u64) -> FragTxState {
@@ -207,6 +77,38 @@ impl StationAutomaton for FragTransmitter {
             bit: seq & 1 != 0,
             ..FragTxState::default()
         }
+    }
+
+    fn apply(&self, s: &mut FragTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p)
+                if p.header.tag == Tag::Ack
+                    && p.header.seq == u64::from(s.bit)
+                    && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.bit = !s.bit;
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = FragTxState::default(),
+            // Retransmissions and ignored packets leave the state unchanged.
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &FragTxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if s.active {
+            for p in (0..2).map_while(|i| Self::nth_fragment(s, i)) {
+                f(DlAction::SendPkt(Dir::TR, p))?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -242,159 +144,8 @@ pub struct FragRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FragReceiver;
 
-impl FragReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &FragRxState, a: &DlAction) -> Option<FragRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let (Some((bit, part)), Some(m)) = (decode_frag(p.header.seq), p.payload) {
-                        if bit == s.expected {
-                            t.got[part as usize] = true;
-                            t.pending.get_or_insert(m);
-                            if t.got == [true, true] {
-                                let msg = t.pending.take().expect("recorded at first part");
-                                t.deliver.push_back(msg);
-                                t.expected = !t.expected;
-                                t.got = [false, false];
-                                if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                    t.acks.push_back(bit);
-                                }
-                            }
-                        } else {
-                            // Stale fragment of the completed bit: re-ack.
-                            if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                t.acks.push_back(bit);
-                            }
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::R) => Some(FragRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&b) if s.active && p.content() == Packet::ack(u64::from(b)) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-impl Automaton for FragReceiver {
-    type Action = DlAction;
-    type State = FragRxState;
-
-    fn start_states(&self) -> Vec<FragRxState> {
-        vec![FragRxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &FragRxState, a: &DlAction) -> Vec<FragRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &FragRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(FragRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &FragRxState, a: &DlAction) -> Option<FragRxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut FragRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &FragRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &FragRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &FragRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
-    }
-}
-
-impl StationAutomaton for FragReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for FragReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption skews the expected bit: `seq & 1`.
     fn corrupted_start(&self, seq: u64) -> FragRxState {
@@ -403,7 +154,59 @@ impl StationAutomaton for FragReceiver {
             ..FragRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut FragRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                let (Tag::Data, Some((bit, part)), Some(m)) =
+                    (p.header.tag, decode_frag(p.header.seq), p.payload)
+                else {
+                    return;
+                };
+                if bit == s.expected {
+                    s.got[part as usize] = true;
+                    s.pending.get_or_insert(m);
+                    if s.got == [true, true] {
+                        let msg = s.pending.take().expect("recorded at first part");
+                        s.deliver.push_back(msg);
+                        s.expected = !s.expected;
+                        s.got = [false, false];
+                        push_ack(&mut s.acks, bit);
+                    }
+                } else {
+                    // Stale fragment of the completed bit: re-ack.
+                    push_ack(&mut s.acks, bit);
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = FragRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &FragRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&b) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(FragTransmitter => FragTxState, FragReceiver => FragRxState);
 
 impl MessageIndependent for FragReceiver {
     fn relabel_state(&self, s: &FragRxState, r: &MsgRenaming) -> FragRxState {
@@ -474,6 +277,7 @@ impl PackedCodec for FragRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     #[test]
     fn header_encoding_round_trips() {

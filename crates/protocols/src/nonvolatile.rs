@@ -30,15 +30,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
+
+use crate::abp::push_ack;
 use ioa::intern::PackedCodec;
 
 /// Packs `(epoch, seq)` into a header sequence value.
@@ -72,141 +68,8 @@ pub struct NvTxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NvTransmitter;
 
-impl NvTransmitter {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &NvTxState, a: &DlAction) -> Option<NvTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack {
-                    let (e, q) = unpack(p.header.seq);
-                    if e == s.epoch && q == s.seq && !t.queue.is_empty() {
-                        t.queue.pop_front();
-                        t.seq += 1;
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => {
-                // Volatile state lost; the non-volatile epoch survives and
-                // advances, so post-crash packets are distinguishable.
-                Some(NvTxState {
-                    epoch: s.epoch + 1,
-                    ..NvTxState::default()
-                })
-            }
-            DlAction::SendPkt(Dir::TR, p) => match s.queue.front() {
-                Some(m) if s.active && p.content() == Packet::data(pack(s.epoch, s.seq), *m) => {
-                    Some(s.clone())
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-impl Automaton for NvTransmitter {
-    type Action = DlAction;
-    type State = NvTxState;
-
-    fn start_states(&self) -> Vec<NvTxState> {
-        vec![NvTxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &NvTxState, a: &DlAction) -> Vec<NvTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &NvTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(NvTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &NvTxState, a: &DlAction) -> Option<NvTxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut NvTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &NvTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &NvTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        s.queue
-            .front()
-            .map(|m| DlAction::SendPkt(Dir::TR, Packet::data(pack(s.epoch, s.seq), *m)))
-            .into_iter()
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &NvTxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if s.active {
-            if let Some(m) = s.queue.front() {
-                f(DlAction::SendPkt(
-                    Dir::TR,
-                    Packet::data(pack(s.epoch, s.seq), *m),
-                ))?;
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for NvTransmitter {
-    fn station(&self) -> Station {
-        Station::T
-    }
+impl StationLogic for NvTransmitter {
+    const STATION: Station = Station::T;
 
     /// Corruption skews the in-RAM sequence counter; the non-volatile
     /// epoch is ROM and stays clean.
@@ -214,6 +77,46 @@ impl StationAutomaton for NvTransmitter {
         NvTxState {
             seq,
             ..NvTxState::default()
+        }
+    }
+
+    fn apply(&self, s: &mut NvTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p)
+                if p.header.tag == Tag::Ack
+                    && unpack(p.header.seq) == (s.epoch, s.seq)
+                    && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.seq += 1;
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => {
+                // Volatile state lost; the non-volatile epoch survives and
+                // advances, so post-crash packets are distinguishable.
+                *s = NvTxState {
+                    epoch: s.epoch + 1,
+                    ..NvTxState::default()
+                };
+            }
+            // Retransmissions and ignored packets leave the state unchanged.
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &NvTxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        match s.queue.front() {
+            Some(m) if s.active => f(DlAction::SendPkt(
+                Dir::TR,
+                Packet::data(pack(s.epoch, s.seq), *m),
+            )),
+            _ => ControlFlow::Continue(()),
         }
     }
 }
@@ -252,168 +155,8 @@ pub struct NvRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NvReceiver;
 
-impl NvReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &NvRxState, a: &DlAction) -> Option<NvRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        let (e, q) = unpack(p.header.seq);
-                        if e > s.epoch {
-                            // The transmitter crashed and restarted: adopt
-                            // the new epoch.
-                            t.epoch = e;
-                            t.expected = 0;
-                        }
-                        if e >= s.epoch {
-                            if q == t.expected {
-                                t.deliver.push_back(m);
-                                t.expected += 1;
-                                if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                    t.acks.push_back(pack(e, q));
-                                }
-                            } else if q < t.expected && t.acks.len() < crate::abp::MAX_PENDING_ACKS
-                            {
-                                t.acks.push_back(pack(e, q));
-                            }
-                        }
-                        // e < s.epoch: stale epoch, ignore entirely.
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::R) => {
-                // Non-volatile storage: only the medium flag and the
-                // volatile ack buffer are lost.
-                let mut t = s.clone();
-                t.active = false;
-                t.acks.clear();
-                Some(t)
-            }
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-impl Automaton for NvReceiver {
-    type Action = DlAction;
-    type State = NvRxState;
-
-    fn start_states(&self) -> Vec<NvRxState> {
-        vec![NvRxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &NvRxState, a: &DlAction) -> Vec<NvRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &NvRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(NvRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &NvRxState, a: &DlAction) -> Option<NvRxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut NvRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &NvRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &NvRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &NvRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
-    }
-}
-
-impl StationAutomaton for NvReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for NvReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption skews the acceptance frontier; the epoch stays clean.
     fn corrupted_start(&self, seq: u64) -> NvRxState {
@@ -422,7 +165,66 @@ impl StationAutomaton for NvReceiver {
             ..NvRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut NvRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                let (Tag::Data, Some(m)) = (p.header.tag, p.payload) else {
+                    return;
+                };
+                let (e, q) = unpack(p.header.seq);
+                if e < s.epoch {
+                    // Stale epoch: ignore entirely.
+                    return;
+                }
+                if e > s.epoch {
+                    // The transmitter crashed and restarted: adopt the
+                    // new epoch.
+                    s.epoch = e;
+                    s.expected = 0;
+                }
+                if q == s.expected {
+                    s.deliver.push_back(m);
+                    s.expected += 1;
+                    push_ack(&mut s.acks, pack(e, q));
+                } else if q < s.expected {
+                    push_ack(&mut s.acks, pack(e, q));
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => {
+                // Non-volatile storage: only the medium flag and the
+                // volatile ack buffer are lost.
+                s.active = false;
+                s.acks.clear();
+            }
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &NvRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&seq) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(NvTransmitter => NvTxState, NvReceiver => NvRxState);
 
 impl MessageIndependent for NvReceiver {
     fn relabel_state(&self, s: &NvRxState, r: &MsgRenaming) -> NvRxState {
@@ -492,6 +294,7 @@ impl PackedCodec for NvRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     #[test]
     fn packing_round_trips() {

@@ -26,15 +26,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
+
+use crate::abp::push_ack;
 use ioa::intern::PackedCodec;
 
 /// Header sequence for the single packet of an even message with bit `b`.
@@ -71,10 +67,6 @@ pub struct ParityTxState {
 pub struct ParityTransmitter;
 
 impl ParityTransmitter {
-    fn packets(s: &ParityTxState) -> Vec<Packet> {
-        (0..2).filter_map(|i| Self::nth_packet(s, i)).collect()
-    }
-
     /// The `i`-th packet the front message enables, without materializing
     /// the whole list: one `WHOLE` packet for even messages, two `PART`
     /// fragments for odd ones.
@@ -86,132 +78,10 @@ impl ParityTransmitter {
             (i < 2).then(|| Packet::data(part_seq(s.bit, i), m))
         }
     }
-
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &ParityTxState, a: &DlAction) -> Option<ParityTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack
-                    && p.header.seq == u64::from(s.bit)
-                    && !t.queue.is_empty()
-                {
-                    t.queue.pop_front();
-                    t.bit = !t.bit;
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(ParityTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => {
-                let fires = s.active
-                    && (0..2).any(|i| Self::nth_packet(s, i).is_some_and(|q| p.content() == q));
-                fires.then(|| s.clone())
-            }
-            _ => None,
-        }
-    }
 }
 
-impl Automaton for ParityTransmitter {
-    type Action = DlAction;
-    type State = ParityTxState;
-
-    fn start_states(&self) -> Vec<ParityTxState> {
-        vec![ParityTxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &ParityTxState, a: &DlAction) -> Vec<ParityTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &ParityTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(ParityTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &ParityTxState, a: &DlAction) -> Option<ParityTxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut ParityTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &ParityTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &ParityTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        Self::packets(s)
-            .into_iter()
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &ParityTxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if s.active {
-            for i in 0..2 {
-                match Self::nth_packet(s, i) {
-                    Some(p) => f(DlAction::SendPkt(Dir::TR, p))?,
-                    None => break,
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for ParityTransmitter {
-    fn station(&self) -> Station {
-        Station::T
-    }
+impl StationLogic for ParityTransmitter {
+    const STATION: Station = Station::T;
 
     /// Corruption skews the alternating bit: `seq & 1`.
     fn corrupted_start(&self, seq: u64) -> ParityTxState {
@@ -219,6 +89,38 @@ impl StationAutomaton for ParityTransmitter {
             bit: seq & 1 != 0,
             ..ParityTxState::default()
         }
+    }
+
+    fn apply(&self, s: &mut ParityTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p)
+                if p.header.tag == Tag::Ack
+                    && p.header.seq == u64::from(s.bit)
+                    && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.bit = !s.bit;
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = ParityTxState::default(),
+            // Retransmissions and ignored packets leave the state unchanged.
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &ParityTxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if s.active {
+            for p in (0..2).map_while(|i| Self::nth_packet(s, i)) {
+                f(DlAction::SendPkt(Dir::TR, p))?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -256,178 +158,17 @@ pub struct ParityRxState {
 pub struct ParityReceiver;
 
 impl ParityReceiver {
-    fn push_ack(t: &mut ParityRxState, bit: bool) {
-        if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-            t.acks.push_back(bit);
-        }
-    }
-
     fn complete(t: &mut ParityRxState, m: Msg, bit: bool) {
         t.deliver.push_back(m);
         t.expected = !t.expected;
         t.got = [false, false];
         t.pending = None;
-        Self::push_ack(t, bit);
-    }
-
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &ParityRxState, a: &DlAction) -> Option<ParityRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        let seq = p.header.seq;
-                        if (4..=5).contains(&seq) {
-                            // Whole packet of bit (seq - 4).
-                            let bit = seq == 5;
-                            if bit == s.expected {
-                                Self::complete(&mut t, m, bit);
-                            } else {
-                                Self::push_ack(&mut t, bit);
-                            }
-                        } else if seq < 4 {
-                            // Fragment (bit, part).
-                            let bit = seq >= 2;
-                            let part = (seq % 2) as usize;
-                            if bit == s.expected {
-                                t.got[part] = true;
-                                t.pending.get_or_insert(m);
-                                if t.got == [true, true] {
-                                    let msg = t.pending.take().expect("recorded");
-                                    Self::complete(&mut t, msg, bit);
-                                }
-                            } else {
-                                Self::push_ack(&mut t, bit);
-                            }
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::R) => Some(ParityRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&b) if s.active && p.content() == Packet::ack(u64::from(b)) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
+        push_ack(&mut t.acks, bit);
     }
 }
 
-impl Automaton for ParityReceiver {
-    type Action = DlAction;
-    type State = ParityRxState;
-
-    fn start_states(&self) -> Vec<ParityRxState> {
-        vec![ParityRxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &ParityRxState, a: &DlAction) -> Vec<ParityRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &ParityRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(ParityRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &ParityRxState, a: &DlAction) -> Option<ParityRxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut ParityRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &ParityRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &ParityRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &ParityRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
-    }
-}
-
-impl StationAutomaton for ParityReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for ParityReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption skews the expected bit: `seq & 1`.
     fn corrupted_start(&self, seq: u64) -> ParityRxState {
@@ -436,7 +177,66 @@ impl StationAutomaton for ParityReceiver {
             ..ParityRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut ParityRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                let (Tag::Data, Some(m)) = (p.header.tag, p.payload) else {
+                    return;
+                };
+                let seq = p.header.seq;
+                if (4..=5).contains(&seq) {
+                    // Whole packet of bit (seq - 4).
+                    let bit = seq == 5;
+                    if bit == s.expected {
+                        Self::complete(s, m, bit);
+                    } else {
+                        push_ack(&mut s.acks, bit);
+                    }
+                } else if seq < 4 {
+                    // Fragment (bit, part).
+                    let bit = seq >= 2;
+                    if bit == s.expected {
+                        s.got[(seq % 2) as usize] = true;
+                        s.pending.get_or_insert(m);
+                        if s.got == [true, true] {
+                            let msg = s.pending.take().expect("recorded");
+                            Self::complete(s, msg, bit);
+                        }
+                    } else {
+                        push_ack(&mut s.acks, bit);
+                    }
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = ParityRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &ParityRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&b) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(ParityTransmitter => ParityTxState, ParityReceiver => ParityRxState);
 
 impl MessageIndependent for ParityReceiver {
     /// Sound only for class-preserving renamings; see the transmitter.
@@ -508,6 +308,7 @@ impl PackedCodec for ParityRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     #[test]
     fn signatures_and_crashing() {

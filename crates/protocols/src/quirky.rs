@@ -18,15 +18,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
+
+use crate::abp::push_ack;
 use ioa::intern::PackedCodec;
 
 /// State of the quirky transmitter (an ABP-shaped stop-and-wait machine).
@@ -48,124 +44,42 @@ impl QuirkyTransmitter {
         // message-dependence under test.
         s.queue.front().map(|m| Packet::data(m.0, *m))
     }
-
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &QuirkyTxState, a: &DlAction) -> Option<QuirkyTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack && s.queue.front().is_some_and(|m| m.0 == p.header.seq)
-                {
-                    t.queue.pop_front();
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(QuirkyTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => match Self::current_packet(s) {
-                Some(q) if s.active && p.content() == q => Some(s.clone()),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
 }
 
-impl Automaton for QuirkyTransmitter {
-    type Action = DlAction;
-    type State = QuirkyTxState;
+impl StationLogic for QuirkyTransmitter {
+    const STATION: Station = Station::T;
 
-    fn start_states(&self) -> Vec<QuirkyTxState> {
-        vec![QuirkyTxState::default()]
+    /// No counters to skew: every start is the honest one.
+    fn corrupted_start(&self, _seq: u64) -> QuirkyTxState {
+        QuirkyTxState::default()
     }
 
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &QuirkyTxState, a: &DlAction) -> Vec<QuirkyTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &QuirkyTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(QuirkyTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
+    fn apply(&self, s: &mut QuirkyTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p)
+                if p.header.tag == Tag::Ack
+                    && s.queue.front().is_some_and(|m| m.0 == p.header.seq) =>
+            {
+                s.queue.pop_front();
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = QuirkyTxState::default(),
+            // Retransmissions and ignored packets leave the state unchanged.
+            _ => {}
         }
     }
 
-    fn step_first(&self, s: &QuirkyTxState, a: &DlAction) -> Option<QuirkyTxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut QuirkyTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &QuirkyTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &QuirkyTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        Self::current_packet(s)
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .into_iter()
-            .collect()
-    }
-
-    fn for_each_enabled_local(
+    fn for_each_local(
         &self,
         s: &QuirkyTxState,
         f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        if s.active {
-            if let Some(p) = Self::current_packet(s) {
-                f(DlAction::SendPkt(Dir::TR, p))?;
-            }
+        match Self::current_packet(s) {
+            Some(p) if s.active => f(DlAction::SendPkt(Dir::TR, p)),
+            _ => ControlFlow::Continue(()),
         }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for QuirkyTransmitter {
-    fn station(&self) -> Station {
-        Station::T
     }
 }
 
@@ -198,148 +112,8 @@ pub struct QuirkyRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuirkyReceiver;
 
-impl QuirkyReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &QuirkyRxState, a: &DlAction) -> Option<QuirkyRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        if !t.seen.contains(&p.header.seq) {
-                            t.seen.insert(p.header.seq);
-                            t.deliver.push_back(m);
-                        }
-                        if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                            t.acks.push_back(p.header.seq);
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::R) => Some(QuirkyRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-impl Automaton for QuirkyReceiver {
-    type Action = DlAction;
-    type State = QuirkyRxState;
-
-    fn start_states(&self) -> Vec<QuirkyRxState> {
-        vec![QuirkyRxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &QuirkyRxState, a: &DlAction) -> Vec<QuirkyRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &QuirkyRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(QuirkyRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &QuirkyRxState, a: &DlAction) -> Option<QuirkyRxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut QuirkyRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &QuirkyRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &QuirkyRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &QuirkyRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
-    }
-}
-
-impl StationAutomaton for QuirkyReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for QuirkyReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption pre-populates the seen-set with the first `min(seq, 8)`
     /// sequence numbers, as if that many deliveries already happened.
@@ -349,7 +123,46 @@ impl StationAutomaton for QuirkyReceiver {
             ..QuirkyRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut QuirkyRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                if let (Tag::Data, Some(m)) = (p.header.tag, p.payload) {
+                    if s.seen.insert(p.header.seq) {
+                        s.deliver.push_back(m);
+                    }
+                    push_ack(&mut s.acks, p.header.seq);
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = QuirkyRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &QuirkyRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&seq) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(QuirkyTransmitter => QuirkyTxState, QuirkyReceiver => QuirkyRxState);
 
 impl MessageIndependent for QuirkyReceiver {
     /// Intentionally unsound — see [`QuirkyTransmitter`]'s impl.
@@ -414,6 +227,7 @@ impl PackedCodec for QuirkyRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     #[test]
     fn signatures_conform_and_it_is_crashing() {

@@ -23,15 +23,11 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
+
+use crate::abp::push_ack;
 use ioa::intern::PackedCodec;
 
 /// Packs an ack payload: the cumulative next-expected value (mod M) and
@@ -94,173 +90,14 @@ impl SrTransmitter {
         2 * self.window
     }
 
-    fn outstanding_packets(&self, s: &SrTxState) -> Vec<Packet> {
-        let n = (self.window as usize).min(s.queue.len());
-        (0..n as u64)
-            .filter(|k| !s.acked.contains(k))
-            .map(|k| self.outstanding_packet(s, k))
-            .collect()
-    }
-
     /// The data packet at window offset `k` (callers bound and filter `k`).
     fn outstanding_packet(&self, s: &SrTxState, k: u64) -> Packet {
         Packet::data((s.base + k) % self.modulus(), s.queue[k as usize])
     }
-
-    /// Deterministic transition core: the unique post-state, or `None`
-    /// when the action is not enabled.
-    fn next(&self, s: &SrTxState, a: &DlAction) -> Option<SrTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack {
-                    let m = self.modulus();
-                    let (cum, bitmap) = decode_ack(p.header.seq);
-                    let limit = self.window.min(s.queue.len() as u64);
-                    // Cumulative part: slide by the unique in-window k with
-                    // (base + k) mod M == cum (the go-back-N guard).
-                    let k = (cum + m - (s.base % m)) % m;
-                    let aligned = if (1..=limit).contains(&k) {
-                        for _ in 0..k {
-                            t.queue.pop_front();
-                        }
-                        t.base += k;
-                        t.acked = t.acked.iter().filter(|&&x| x >= k).map(|x| x - k).collect();
-                        true
-                    } else {
-                        k == 0
-                    };
-                    // Selective part: only meaningful when the cumulative
-                    // point matches our (new) base; then bit j marks
-                    // offset j as received.
-                    if aligned {
-                        let limit = self.window.min(t.queue.len() as u64);
-                        for j in 1..self.window {
-                            if bitmap & (1 << j) != 0 && j < limit {
-                                t.acked.insert(j);
-                            }
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(SrTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => {
-                let n = (self.window as usize).min(s.queue.len()) as u64;
-                let c = p.content();
-                if s.active
-                    && (0..n)
-                        .filter(|k| !s.acked.contains(k))
-                        .any(|k| c == self.outstanding_packet(s, k))
-                {
-                    Some(s.clone())
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
 }
 
-impl Automaton for SrTransmitter {
-    type Action = DlAction;
-    type State = SrTxState;
-
-    fn start_states(&self) -> Vec<SrTxState> {
-        vec![SrTxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &SrTxState, a: &DlAction) -> Vec<SrTxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &SrTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(SrTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &SrTxState, a: &DlAction) -> Option<SrTxState> {
-        self.next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut SrTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(self.next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &SrTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &SrTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        self.outstanding_packets(s)
-            .into_iter()
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &SrTxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if !s.active {
-            return ControlFlow::Continue(());
-        }
-        let n = (self.window as usize).min(s.queue.len()) as u64;
-        for k in (0..n).filter(|k| !s.acked.contains(k)) {
-            f(DlAction::SendPkt(Dir::TR, self.outstanding_packet(s, k)))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for SrTransmitter {
-    fn station(&self) -> Station {
-        Station::T
-    }
+impl StationLogic for SrTransmitter {
+    const STATION: Station = Station::T;
 
     /// Corruption skews the window base (the ack set stays clean).
     fn corrupted_start(&self, seq: u64) -> SrTxState {
@@ -268,6 +105,61 @@ impl StationAutomaton for SrTransmitter {
             base: seq,
             ..SrTxState::default()
         }
+    }
+
+    fn apply(&self, s: &mut SrTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p) => {
+                if p.header.tag != Tag::Ack {
+                    return;
+                }
+                let m = self.modulus();
+                let (cum, bitmap) = decode_ack(p.header.seq);
+                let limit = self.window.min(s.queue.len() as u64);
+                // Cumulative part: slide by the unique in-window k with
+                // (base + k) mod M == cum (the go-back-N guard).
+                let k = (cum + m - (s.base % m)) % m;
+                let aligned = if (1..=limit).contains(&k) {
+                    s.queue.drain(..k as usize);
+                    s.base += k;
+                    s.acked = s.acked.iter().filter(|&&x| x >= k).map(|x| x - k).collect();
+                    true
+                } else {
+                    k == 0
+                };
+                // Selective part: only meaningful when the cumulative
+                // point matches our (new) base; then bit j marks
+                // offset j as received.
+                if aligned {
+                    let limit = self.window.min(s.queue.len() as u64);
+                    for j in 1..self.window {
+                        if bitmap & (1 << j) != 0 && j < limit {
+                            s.acked.insert(j);
+                        }
+                    }
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = SrTxState::default(),
+            // Retransmission leaves the state unchanged.
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &SrTxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if s.active {
+            let n = (self.window as usize).min(s.queue.len()) as u64;
+            for k in (0..n).filter(|k| !s.acked.contains(k)) {
+                f(DlAction::SendPkt(Dir::TR, self.outstanding_packet(s, k)))?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -321,170 +213,10 @@ impl SrReceiver {
     pub fn modulus(&self) -> u64 {
         2 * self.window
     }
-
-    /// Deterministic transition core.
-    fn next(&self, s: &SrRxState, a: &DlAction) -> Option<SrRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                let m_mod = self.modulus();
-                if p.header.tag == Tag::Data && p.header.seq < m_mod {
-                    if let Some(msg) = p.payload {
-                        // Locate the sequence inside the receive window
-                        // [expected, expected + W): offset k such that
-                        // (expected + k) mod M == seq.
-                        let k = (p.header.seq + m_mod - (s.expected % m_mod)) % m_mod;
-                        if k == 0 {
-                            // In-order: accept it, re-base the buffered
-                            // offsets, then drain the contiguous prefix.
-                            t.deliver.push_back(msg);
-                            t.expected += 1;
-                            let shift_down = |b: BTreeMap<u64, Msg>| -> BTreeMap<u64, Msg> {
-                                b.into_iter().map(|(o, v)| (o - 1, v)).collect()
-                            };
-                            t.buffer = shift_down(std::mem::take(&mut t.buffer));
-                            while let Some(v) = t.buffer.remove(&0) {
-                                t.deliver.push_back(v);
-                                t.expected += 1;
-                                t.buffer = shift_down(std::mem::take(&mut t.buffer));
-                            }
-                        } else if k < self.window {
-                            // Out-of-order but in-window: buffer it.
-                            t.buffer.entry(k).or_insert(msg);
-                        }
-                        // Always acknowledge with *current* state: the
-                        // cumulative expected value plus the buffered-
-                        // offset bitmap (monotone ack stream).
-                        if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                            let bitmap = t.buffer.keys().fold(0u64, |acc, &j| acc | (1 << j));
-                            t.acks.push_back(encode_ack(t.expected % m_mod, bitmap));
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::R) => Some(SrRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
 }
 
-impl Automaton for SrReceiver {
-    type Action = DlAction;
-    type State = SrRxState;
-
-    fn start_states(&self) -> Vec<SrRxState> {
-        vec![SrRxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &SrRxState, a: &DlAction) -> Vec<SrRxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &SrRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(SrRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &SrRxState, a: &DlAction) -> Option<SrRxState> {
-        self.next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut SrRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(self.next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &SrRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &SrRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &SrRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
-    }
-}
-
-impl StationAutomaton for SrReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for SrReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption skews the acceptance frontier (empty buffer).
     fn corrupted_start(&self, seq: u64) -> SrRxState {
@@ -493,7 +225,74 @@ impl StationAutomaton for SrReceiver {
             ..SrRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut SrRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                let m_mod = self.modulus();
+                let (Tag::Data, Some(msg)) = (p.header.tag, p.payload) else {
+                    return;
+                };
+                if p.header.seq >= m_mod {
+                    return;
+                }
+                // Locate the sequence inside the receive window
+                // [expected, expected + W): offset k such that
+                // (expected + k) mod M == seq.
+                let k = (p.header.seq + m_mod - (s.expected % m_mod)) % m_mod;
+                if k == 0 {
+                    // In-order: accept it, re-base the buffered
+                    // offsets, then drain the contiguous prefix.
+                    s.deliver.push_back(msg);
+                    s.expected += 1;
+                    let shift_down = |b: BTreeMap<u64, Msg>| -> BTreeMap<u64, Msg> {
+                        b.into_iter().map(|(o, v)| (o - 1, v)).collect()
+                    };
+                    s.buffer = shift_down(std::mem::take(&mut s.buffer));
+                    while let Some(v) = s.buffer.remove(&0) {
+                        s.deliver.push_back(v);
+                        s.expected += 1;
+                        s.buffer = shift_down(std::mem::take(&mut s.buffer));
+                    }
+                } else if k < self.window {
+                    // Out-of-order but in-window: buffer it.
+                    s.buffer.entry(k).or_insert(msg);
+                }
+                // Always acknowledge with *current* state: the
+                // cumulative expected value plus the buffered-
+                // offset bitmap (monotone ack stream).
+                let bitmap = s.buffer.keys().fold(0u64, |acc, &j| acc | (1 << j));
+                push_ack(&mut s.acks, encode_ack(s.expected % m_mod, bitmap));
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = SrRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &SrRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&seq) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(SrTransmitter => SrTxState, SrReceiver => SrRxState);
 
 impl MessageIndependent for SrReceiver {
     fn relabel_state(&self, s: &SrRxState, r: &MsgRenaming) -> SrRxState {
@@ -563,6 +362,7 @@ impl PackedCodec for SrRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     fn tx(w: u64, actions: &[DlAction]) -> (SrTransmitter, SrTxState) {
         let t = SrTransmitter::new(w);

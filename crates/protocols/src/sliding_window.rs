@@ -16,15 +16,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
+
+use crate::abp::push_ack;
 use ioa::intern::PackedCodec;
 
 /// State of the sliding-window transmitter.
@@ -71,151 +67,14 @@ impl SwTransmitter {
         self.window + 1
     }
 
-    fn in_window_packets(&self, s: &SwTxState) -> Vec<Packet> {
-        let n = (self.window as usize).min(s.queue.len());
-        (0..n).map(|i| self.window_packet(s, i)).collect()
-    }
-
     /// The `i`-th in-window packet (callers bound `i` by the window).
     fn window_packet(&self, s: &SwTxState, i: usize) -> Packet {
         Packet::data((s.base + i as u64) % self.modulus(), s.queue[i])
     }
-
-    /// Deterministic transition core: the unique post-state, or `None`
-    /// when the action is not enabled.
-    fn next(&self, s: &SwTxState, a: &DlAction) -> Option<SwTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack {
-                    // Cumulative ack: `seq` is the next expected (mod M);
-                    // advance by the unique k with (base + k) mod M == seq,
-                    // 1 ≤ k ≤ min(window, queue.len()).
-                    let m = self.modulus();
-                    let limit = self.window.min(s.queue.len() as u64);
-                    let k = (p.header.seq + m - (s.base % m)) % m;
-                    if (1..=limit).contains(&k) {
-                        for _ in 0..k {
-                            t.queue.pop_front();
-                        }
-                        t.base += k;
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(SwTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => {
-                let n = (self.window as usize).min(s.queue.len());
-                let c = p.content();
-                if s.active && (0..n).any(|i| c == self.window_packet(s, i)) {
-                    Some(s.clone())
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
 }
 
-impl Automaton for SwTransmitter {
-    type Action = DlAction;
-    type State = SwTxState;
-
-    fn start_states(&self) -> Vec<SwTxState> {
-        vec![SwTxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &SwTxState, a: &DlAction) -> Vec<SwTxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &SwTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(SwTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &SwTxState, a: &DlAction) -> Option<SwTxState> {
-        self.next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut SwTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(self.next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &SwTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &SwTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        self.in_window_packets(s)
-            .into_iter()
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &SwTxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if !s.active {
-            return ControlFlow::Continue(());
-        }
-        let n = (self.window as usize).min(s.queue.len());
-        for i in 0..n {
-            f(DlAction::SendPkt(Dir::TR, self.window_packet(s, i)))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for SwTransmitter {
-    fn station(&self) -> Station {
-        Station::T
-    }
+impl StationLogic for SwTransmitter {
+    const STATION: Station = Station::T;
 
     /// Corruption skews the window base.
     fn corrupted_start(&self, seq: u64) -> SwTxState {
@@ -223,6 +82,43 @@ impl StationAutomaton for SwTransmitter {
             base: seq,
             ..SwTxState::default()
         }
+    }
+
+    fn apply(&self, s: &mut SwTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p) if p.header.tag == Tag::Ack => {
+                // Cumulative ack: `seq` is the next expected (mod M);
+                // advance by the unique k with (base + k) mod M == seq,
+                // 1 ≤ k ≤ min(window, queue.len()).
+                let m = self.modulus();
+                let limit = self.window.min(s.queue.len() as u64);
+                let k = (p.header.seq + m - (s.base % m)) % m;
+                if (1..=limit).contains(&k) {
+                    s.queue.drain(..k as usize);
+                    s.base += k;
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = SwTxState::default(),
+            // Retransmissions and ignored packets leave the state unchanged.
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &SwTxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if s.active {
+            let n = (self.window as usize).min(s.queue.len());
+            for i in 0..n {
+                f(DlAction::SendPkt(Dir::TR, self.window_packet(s, i)))?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -275,150 +171,10 @@ impl SwReceiver {
     pub fn modulus(&self) -> u64 {
         self.modulus
     }
-
-    /// Deterministic transition core.
-    fn next(&self, s: &SwRxState, a: &DlAction) -> Option<SwRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data && p.header.seq < self.modulus {
-                    if let Some(m) = p.payload {
-                        if p.header.seq == s.expected % self.modulus {
-                            t.deliver.push_back(m);
-                            t.expected += 1;
-                        }
-                        // Cumulative ack: next expected, fresh or not
-                        // (bounded buffer, like ABP's MAX_PENDING_ACKS).
-                        if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                            let next = t.expected % self.modulus;
-                            t.acks.push_back(next);
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::R) => Some(SwRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
 }
 
-impl Automaton for SwReceiver {
-    type Action = DlAction;
-    type State = SwRxState;
-
-    fn start_states(&self) -> Vec<SwRxState> {
-        vec![SwRxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &SwRxState, a: &DlAction) -> Vec<SwRxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &SwRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(SwRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &SwRxState, a: &DlAction) -> Option<SwRxState> {
-        self.next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut SwRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(self.next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &SwRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &SwRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &SwRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
-    }
-}
-
-impl StationAutomaton for SwReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for SwReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption skews the acceptance frontier.
     fn corrupted_start(&self, seq: u64) -> SwRxState {
@@ -427,7 +183,51 @@ impl StationAutomaton for SwReceiver {
             ..SwRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut SwRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                if let (Tag::Data, Some(m)) = (p.header.tag, p.payload) {
+                    if p.header.seq >= self.modulus {
+                        return;
+                    }
+                    if p.header.seq == s.expected % self.modulus {
+                        s.deliver.push_back(m);
+                        s.expected += 1;
+                    }
+                    // Cumulative ack: next expected, fresh or not.
+                    push_ack(&mut s.acks, s.expected % self.modulus);
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = SwRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &SwRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&seq) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(SwTransmitter => SwTxState, SwReceiver => SwRxState);
 
 impl MessageIndependent for SwReceiver {
     fn relabel_state(&self, s: &SwRxState, r: &MsgRenaming) -> SwRxState {
@@ -493,6 +293,7 @@ impl PackedCodec for SwRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     fn tx(window: u64, actions: &[DlAction]) -> (SwTransmitter, SwTxState) {
         let t = SwTransmitter::new(window);

@@ -35,15 +35,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
+
+use crate::abp::push_ack;
 use ioa::intern::PackedCodec;
 
 /// The canonical channel-capacity bound used by [`protocol`] (and by the
@@ -79,138 +75,8 @@ pub struct StabTransmitter {
     pub init_seq: u64,
 }
 
-impl StabTransmitter {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(&self, s: &StabTxState, a: &DlAction) -> Option<StabTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack && p.header.seq == s.seq && !t.queue.is_empty() {
-                    // Count identical acks; `capacity` ghost copies can
-                    // exist at time zero, so only the `capacity + 1`-th
-                    // receipt proves a fresh acknowledgement.
-                    if t.acked >= self.capacity {
-                        t.queue.pop_front();
-                        t.seq += 1;
-                        t.acked = 0;
-                    } else {
-                        t.acked += 1;
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            // Crash wipes the corruption: back to the clean ROM state.
-            DlAction::Crash(Station::T) => Some(StabTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => match s.queue.front() {
-                Some(m) if s.active && p.content() == Packet::data(s.seq, *m) => Some(s.clone()),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-impl Automaton for StabTransmitter {
-    type Action = DlAction;
-    type State = StabTxState;
-
-    fn start_states(&self) -> Vec<StabTxState> {
-        vec![StabTxState {
-            seq: self.init_seq,
-            ..StabTxState::default()
-        }]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &StabTxState, a: &DlAction) -> Vec<StabTxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &StabTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(StabTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &StabTxState, a: &DlAction) -> Option<StabTxState> {
-        self.next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut StabTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(self.next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &StabTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &StabTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        s.queue
-            .front()
-            .map(|m| DlAction::SendPkt(Dir::TR, Packet::data(s.seq, *m)))
-            .into_iter()
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &StabTxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if s.active {
-            if let Some(m) = s.queue.front() {
-                f(DlAction::SendPkt(Dir::TR, Packet::data(s.seq, *m)))?;
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for StabTransmitter {
-    fn station(&self) -> Station {
-        Station::T
-    }
+impl StationLogic for StabTransmitter {
+    const STATION: Station = Station::T;
 
     /// Corruption skews the sequence counter *relative to* the declared
     /// `init_seq`, so the adapter composes with [`corrupted`] instances.
@@ -218,6 +84,43 @@ impl StationAutomaton for StabTransmitter {
         StabTxState {
             seq: self.init_seq.wrapping_add(seq),
             ..StabTxState::default()
+        }
+    }
+
+    fn apply(&self, s: &mut StabTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p)
+                if p.header.tag == Tag::Ack && p.header.seq == s.seq && !s.queue.is_empty() =>
+            {
+                // Count identical acks; `capacity` ghost copies can
+                // exist at time zero, so only the `capacity + 1`-th
+                // receipt proves a fresh acknowledgement.
+                if s.acked >= self.capacity {
+                    s.queue.pop_front();
+                    s.seq += 1;
+                    s.acked = 0;
+                } else {
+                    s.acked += 1;
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            // Crash wipes the corruption: back to the clean ROM state.
+            DlAction::Crash(_) => *s = StabTxState::default(),
+            // Retransmissions and ignored packets leave the state unchanged.
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &StabTxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        match s.queue.front() {
+            Some(m) if s.active => f(DlAction::SendPkt(Dir::TR, Packet::data(s.seq, *m))),
+            _ => ControlFlow::Continue(()),
         }
     }
 }
@@ -262,174 +165,8 @@ pub struct StabReceiver {
     pub init_expected: u64,
 }
 
-impl StabReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(&self, s: &StabRxState, a: &DlAction) -> Option<StabRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        if p.header.seq < s.expected {
-                            // Stale: the transmitter (or a ghost) is behind.
-                            // Re-acknowledge so a lagging transmitter can
-                            // climb; never re-deliver.
-                            if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                t.acks.push_back(p.header.seq);
-                            }
-                        } else {
-                            // Count identical copies of the candidate; a
-                            // mismatch restarts the count. At most
-                            // `capacity` ghost copies of any value can
-                            // exist, so `capacity + 1` receipts prove the
-                            // transmitter is really repeating this packet.
-                            if t.candidate == Some((p.header.seq, m)) {
-                                t.copies += 1;
-                            } else {
-                                t.candidate = Some((p.header.seq, m));
-                                t.copies = 1;
-                            }
-                            if t.copies > self.capacity {
-                                t.deliver.push_back(m);
-                                t.expected = p.header.seq + 1;
-                                t.candidate = None;
-                                t.copies = 0;
-                                if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                    t.acks.push_back(p.header.seq);
-                                }
-                            }
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            // Crash wipes the corruption: back to the clean ROM state.
-            DlAction::Crash(Station::R) => Some(StabRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-impl Automaton for StabReceiver {
-    type Action = DlAction;
-    type State = StabRxState;
-
-    fn start_states(&self) -> Vec<StabRxState> {
-        vec![StabRxState {
-            expected: self.init_expected,
-            ..StabRxState::default()
-        }]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &StabRxState, a: &DlAction) -> Vec<StabRxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &StabRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(StabRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &StabRxState, a: &DlAction) -> Option<StabRxState> {
-        self.next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut StabRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(self.next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &StabRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &StabRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &StabRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
-    }
-}
-
-impl StationAutomaton for StabReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for StabReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption skews the acceptance frontier relative to
     /// `init_expected`.
@@ -439,7 +176,69 @@ impl StationAutomaton for StabReceiver {
             ..StabRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut StabRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                let (Tag::Data, Some(m)) = (p.header.tag, p.payload) else {
+                    return;
+                };
+                let seq = p.header.seq;
+                if seq < s.expected {
+                    // Stale: the transmitter (or a ghost) is behind.
+                    // Re-acknowledge so a lagging transmitter can
+                    // climb; never re-deliver.
+                    push_ack(&mut s.acks, seq);
+                    return;
+                }
+                // Count identical copies of the candidate; a mismatch
+                // restarts the count. At most `capacity` ghost copies of
+                // any value can exist, so `capacity + 1` receipts prove
+                // the transmitter is really repeating this packet.
+                if s.candidate == Some((seq, m)) {
+                    s.copies += 1;
+                } else {
+                    s.candidate = Some((seq, m));
+                    s.copies = 1;
+                }
+                if s.copies > self.capacity {
+                    s.deliver.push_back(m);
+                    s.expected = seq + 1;
+                    s.candidate = None;
+                    s.copies = 0;
+                    push_ack(&mut s.acks, seq);
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            // Crash wipes the corruption: back to the clean ROM state.
+            DlAction::Crash(_) => *s = StabRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &StabRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&seq) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(StabTransmitter => StabTxState, StabReceiver => StabRxState);
 
 impl MessageIndependent for StabReceiver {
     fn relabel_state(&self, s: &StabRxState, r: &MsgRenaming) -> StabRxState {
@@ -560,6 +359,7 @@ impl PackedCodec for StabRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     const C: u64 = DEFAULT_CAPACITY;
 

@@ -14,15 +14,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
-
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
-use dl_core::protocol::{
-    receiver_classify, station_is_enabled, step_deterministic, transmitter_classify,
-    DataLinkProtocol, MessageIndependent, ProtocolInfo, StationAutomaton,
-};
+use dl_core::protocol::{DataLinkProtocol, MessageIndependent, ProtocolInfo, StationLogic};
+
+use crate::abp::push_ack;
 use ioa::intern::PackedCodec;
 
 /// State of the Stenning transmitter.
@@ -40,132 +36,42 @@ pub struct StenningTxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StenningTransmitter;
 
-impl StenningTransmitter {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &StenningTxState, a: &DlAction) -> Option<StenningTxState> {
-        match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack && p.header.seq == s.seq && !t.queue.is_empty() {
-                    t.queue.pop_front();
-                    t.seq += 1;
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(StenningTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => match s.queue.front() {
-                Some(m) if s.active && p.content() == Packet::data(s.seq, *m) => Some(s.clone()),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-impl Automaton for StenningTransmitter {
-    type Action = DlAction;
-    type State = StenningTxState;
-
-    fn start_states(&self) -> Vec<StenningTxState> {
-        vec![StenningTxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        transmitter_classify(a)
-    }
-
-    fn successors(&self, s: &StenningTxState, a: &DlAction) -> Vec<StenningTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &StenningTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(StenningTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &StenningTxState, a: &DlAction) -> Option<StenningTxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut StenningTxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &StenningTxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &StenningTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        s.queue
-            .front()
-            .map(|m| DlAction::SendPkt(Dir::TR, Packet::data(s.seq, *m)))
-            .into_iter()
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &StenningTxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if s.active {
-            if let Some(m) = s.queue.front() {
-                f(DlAction::SendPkt(Dir::TR, Packet::data(s.seq, *m)))?;
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
-impl StationAutomaton for StenningTransmitter {
-    fn station(&self) -> Station {
-        Station::T
-    }
+impl StationLogic for StenningTransmitter {
+    const STATION: Station = Station::T;
 
     /// Corruption skews the unbounded sequence counter.
     fn corrupted_start(&self, seq: u64) -> StenningTxState {
         StenningTxState {
             seq,
             ..StenningTxState::default()
+        }
+    }
+
+    fn apply(&self, s: &mut StenningTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(_, p)
+                if p.header.tag == Tag::Ack && p.header.seq == s.seq && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.seq += 1;
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = StenningTxState::default(),
+            // Retransmissions and ignored packets leave the state unchanged.
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &StenningTxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        match s.queue.front() {
+            Some(m) if s.active => f(DlAction::SendPkt(Dir::TR, Packet::data(s.seq, *m))),
+            _ => ControlFlow::Continue(()),
         }
     }
 }
@@ -197,157 +103,8 @@ pub struct StenningRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StenningReceiver;
 
-impl StenningReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &StenningRxState, a: &DlAction) -> Option<StenningRxState> {
-        match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        if p.header.seq == s.expected {
-                            t.deliver.push_back(m);
-                            t.expected += 1;
-                            if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                t.acks.push_back(p.header.seq);
-                            }
-                        } else if p.header.seq < s.expected {
-                            // Stale duplicate: re-acknowledge, never
-                            // re-deliver. (A reordered old packet cannot
-                            // collide with a fresh number.)
-                            if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                t.acks.push_back(p.header.seq);
-                            }
-                        }
-                        // seq > expected cannot happen with a one-at-a-time
-                        // transmitter; ignore defensively.
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::R) => Some(StenningRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-impl Automaton for StenningReceiver {
-    type Action = DlAction;
-    type State = StenningRxState;
-
-    fn start_states(&self) -> Vec<StenningRxState> {
-        vec![StenningRxState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        receiver_classify(a)
-    }
-
-    fn successors(&self, s: &StenningRxState, a: &DlAction) -> Vec<StenningRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &StenningRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(StenningRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &StenningRxState, a: &DlAction) -> Option<StenningRxState> {
-        Self::next(s, a)
-    }
-
-    fn step_in_place(
-        &self,
-        s: &mut StenningRxState,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> Option<usize>,
-    ) -> bool {
-        step_deterministic(Self::next(s, a), s, choose)
-    }
-
-    fn is_enabled(&self, s: &StenningRxState, a: &DlAction) -> bool {
-        station_is_enabled(self, s, a)
-    }
-
-    fn enabled_local(&self, s: &StenningRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &StenningRxState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            f(DlAction::ReceiveMsg(*m))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, a: &DlAction) -> TaskId {
-        match a {
-            DlAction::ReceiveMsg(_) => TaskId(1),
-            _ => TaskId(0),
-        }
-    }
-
-    fn task_count(&self) -> usize {
-        2
-    }
-}
-
-impl StationAutomaton for StenningReceiver {
-    fn station(&self) -> Station {
-        Station::R
-    }
+impl StationLogic for StenningReceiver {
+    const STATION: Station = Station::R;
 
     /// Corruption skews the acceptance frontier.
     fn corrupted_start(&self, seq: u64) -> StenningRxState {
@@ -356,7 +113,55 @@ impl StationAutomaton for StenningReceiver {
             ..StenningRxState::default()
         }
     }
+
+    fn apply(&self, s: &mut StenningRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(_, p) => {
+                if let (Tag::Data, Some(m)) = (p.header.tag, p.payload) {
+                    let seq = p.header.seq;
+                    if seq == s.expected {
+                        s.deliver.push_back(m);
+                        s.expected += 1;
+                        push_ack(&mut s.acks, seq);
+                    } else if seq < s.expected {
+                        // Stale duplicate: re-acknowledge, never
+                        // re-deliver. (A reordered old packet cannot
+                        // collide with a fresh number.)
+                        push_ack(&mut s.acks, seq);
+                    }
+                    // seq > expected cannot happen with a one-at-a-time
+                    // transmitter; ignore defensively.
+                }
+            }
+            DlAction::Wake(_) => s.active = true,
+            DlAction::Fail(_) => s.active = false,
+            DlAction::Crash(_) => *s = StenningRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(..) => {
+                s.acks.pop_front();
+            }
+            _ => {}
+        }
+    }
+
+    fn for_each_local(
+        &self,
+        s: &StenningRxState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if let Some(&seq) = s.acks.front().filter(|_| s.active) {
+            f(DlAction::SendPkt(Dir::RT, Packet::ack(seq)))?;
+        }
+        match s.deliver.front() {
+            Some(m) => f(DlAction::ReceiveMsg(*m)),
+            None => ControlFlow::Continue(()),
+        }
+    }
 }
+
+dl_core::station_automaton!(StenningTransmitter => StenningTxState, StenningReceiver => StenningRxState);
 
 impl MessageIndependent for StenningReceiver {
     fn relabel_state(&self, s: &StenningRxState, r: &MsgRenaming) -> StenningRxState {
@@ -421,6 +226,7 @@ impl PackedCodec for StenningRxState {
 mod tests {
     use super::*;
     use dl_core::protocol::{action_sample, check_crashing, check_station_signature};
+    use ioa::automaton::Automaton;
 
     #[test]
     fn signatures_conform() {
