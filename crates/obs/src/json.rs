@@ -144,6 +144,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -202,6 +203,11 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Ledgers nest
+/// about five levels deep; the limit keeps a hostile or corrupt file
+/// from overflowing the parser's stack (it recurses once per level).
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: what went wrong and the byte offset it happened at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -222,6 +228,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -262,8 +270,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -426,6 +445,21 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "1 2"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH),
+            "}".repeat(MAX_DEPTH)
+        ))
+        .is_ok());
     }
 
     #[test]
