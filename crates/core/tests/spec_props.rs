@@ -82,60 +82,21 @@ proptest! {
     /// PL allows everything PL-FIFO allows.
     #[test]
     fn pl_is_weaker_than_pl_fifo(trace in trace_strategy()) {
-        if PlModule::pl_fifo(Dir::TR).check(&trace, TraceKind::Complete).is_allowed() {
-            prop_assert!(PlModule::pl(Dir::TR).check(&trace, TraceKind::Complete).is_allowed());
-        }
+        pl_is_weaker_than_pl_fifo_on(&trace)?;
     }
 
     /// Verdicts only depend on the module's own actions: appending actions
     /// of the *other* direction never changes a PL verdict.
     #[test]
     fn pl_ignores_other_direction(trace in trace_strategy()) {
-        let filtered: Vec<DlAction> = trace
-            .iter()
-            .filter(|a| match a {
-                DlAction::SendPkt(d, _) | DlAction::ReceivePkt(d, _) => *d == Dir::TR,
-                DlAction::Wake(d) | DlAction::Fail(d) => *d == Dir::TR,
-                DlAction::Crash(x) => *x == Station::T,
-                _ => false,
-            })
-            .copied()
-            .collect();
-        let a = PlModule::pl(Dir::TR).check(&trace, TraceKind::Complete);
-        let b = PlModule::pl(Dir::TR).check(&filtered, TraceKind::Complete);
-        // Event indices shift under filtering; the verdict kind and the
-        // violated property must agree.
-        let kind = |v: &Verdict| match v {
-            Verdict::Satisfied => ("satisfied", ""),
-            Verdict::Vacuous(x) => ("vacuous", x.property),
-            Verdict::Violated(x) => ("violated", x.property),
-        };
-        prop_assert_eq!(kind(&a), kind(&b));
+        pl_ignores_other_direction_on(&trace)?;
     }
 
     /// Well-formedness scanning agrees with a simple reference
     /// implementation driven by a three-state machine.
     #[test]
     fn wellformedness_reference(trace in trace_strategy()) {
-        let tl = MediumTimeline::scan(&trace, Dir::TR);
-        // Reference: walk with "medium up" flag, crash resets it.
-        let mut up = false;
-        let mut ok = true;
-        for a in &trace {
-            match a {
-                DlAction::Wake(Dir::TR) => {
-                    if up { ok = false; break; }
-                    up = true;
-                }
-                DlAction::Fail(Dir::TR) => {
-                    if !up { ok = false; break; }
-                    up = false;
-                }
-                DlAction::Crash(Station::T) => up = false,
-                _ => {}
-            }
-        }
-        prop_assert_eq!(tl.is_well_formed(), ok);
+        wellformedness_reference_on(&trace)?;
     }
 
     /// Action equivalence is reflexive and symmetric on random actions,
@@ -169,4 +130,85 @@ proptest! {
         let back = rho.inverse().apply_action(&rho.apply_action(&a));
         prop_assert_eq!(back, a);
     }
+}
+
+fn pl_is_weaker_than_pl_fifo_on(trace: &[DlAction]) -> Result<(), TestCaseError> {
+    if PlModule::pl_fifo(Dir::TR)
+        .check(trace, TraceKind::Complete)
+        .is_allowed()
+    {
+        prop_assert!(PlModule::pl(Dir::TR)
+            .check(trace, TraceKind::Complete)
+            .is_allowed());
+    }
+    Ok(())
+}
+
+fn pl_ignores_other_direction_on(trace: &[DlAction]) -> Result<(), TestCaseError> {
+    let filtered: Vec<DlAction> = trace
+        .iter()
+        .filter(|a| match a {
+            DlAction::SendPkt(d, _) | DlAction::ReceivePkt(d, _) => *d == Dir::TR,
+            DlAction::Wake(d) | DlAction::Fail(d) => *d == Dir::TR,
+            DlAction::Crash(x) => *x == Station::T,
+            _ => false,
+        })
+        .copied()
+        .collect();
+    let a = PlModule::pl(Dir::TR).check(trace, TraceKind::Complete);
+    let b = PlModule::pl(Dir::TR).check(&filtered, TraceKind::Complete);
+    // Event indices shift under filtering; the verdict kind and the
+    // violated property must agree.
+    let kind = |v: &Verdict| match v {
+        Verdict::Satisfied => ("satisfied", ""),
+        Verdict::Vacuous(x) => ("vacuous", x.property),
+        Verdict::Violated(x) => ("violated", x.property),
+    };
+    prop_assert_eq!(kind(&a), kind(&b));
+    Ok(())
+}
+
+fn wellformedness_reference_on(trace: &[DlAction]) -> Result<(), TestCaseError> {
+    let tl = MediumTimeline::scan(trace, Dir::TR);
+    // Reference: walk with "medium up" flag, crash resets it.
+    let mut up = false;
+    let mut ok = true;
+    for a in trace {
+        match a {
+            DlAction::Wake(Dir::TR) => {
+                if up {
+                    ok = false;
+                    break;
+                }
+                up = true;
+            }
+            DlAction::Fail(Dir::TR) => {
+                if !up {
+                    ok = false;
+                    break;
+                }
+                up = false;
+            }
+            DlAction::Crash(Station::T) => up = false,
+            _ => {}
+        }
+    }
+    prop_assert_eq!(tl.is_well_formed(), ok);
+    Ok(())
+}
+
+/// A trace proptest once shrank to and persisted without naming the
+/// property it broke: an ack received on `r → t`, then the same packet
+/// sent on `t → r`. Replayed through each trace property it could have
+/// come from.
+#[test]
+fn recorded_ack_echo_trace_passes_the_trace_properties() {
+    let ack = Packet::ack(0).with_uid(100);
+    let trace = [
+        DlAction::ReceivePkt(Dir::RT, ack),
+        DlAction::SendPkt(Dir::TR, ack),
+    ];
+    pl_is_weaker_than_pl_fifo_on(&trace).unwrap();
+    pl_ignores_other_direction_on(&trace).unwrap();
+    wellformedness_reference_on(&trace).unwrap();
 }

@@ -8,9 +8,11 @@ use proptest::prelude::*;
 
 use datalink::channels::{LossMode, LossyFifoChannel, ReorderChannel};
 use datalink::core::action::{Dir, DlAction};
+use datalink::core::protocol::DataLinkProtocol;
 use datalink::core::spec::datalink::DlModule;
 use datalink::core::spec::physical::PlModule;
 use datalink::ioa::schedule_module::{ScheduleModule, TraceKind};
+use datalink::ioa::Automaton;
 use datalink::sim::{link_system, Runner, Script};
 
 fn loss_strategy() -> impl Strategy<Value = LossMode> {
@@ -19,6 +21,40 @@ fn loss_strategy() -> impl Strategy<Value = LossMode> {
         Just(LossMode::Nondet),
         (2u64..6).prop_map(LossMode::EveryNth),
     ]
+}
+
+/// Delivers `n` messages over two FIFO channels losing per `mode`, and
+/// checks the behavior against DL and the schedule against PL-FIFO.
+fn dl_conformance_over_fifo<T, R>(
+    p: DataLinkProtocol<T, R>,
+    seed: u64,
+    n: u64,
+    mode: LossMode,
+) -> Result<(), TestCaseError>
+where
+    T: Automaton<Action = DlAction>,
+    R: Automaton<Action = DlAction>,
+{
+    let sys = link_system(
+        p.transmitter,
+        p.receiver,
+        LossyFifoChannel::new(Dir::TR, mode),
+        LossyFifoChannel::new(Dir::RT, mode),
+    );
+    let mut runner = Runner::new(seed, 2_000_000);
+    let report = runner.run(&sys, &Script::deliver_n(n));
+    prop_assert!(report.quiescent, "did not quiesce");
+    prop_assert_eq!(report.metrics.msgs_received, n);
+    // The behavior satisfies the full DL spec...
+    let v = DlModule::full().check(&report.behavior, TraceKind::Complete);
+    prop_assert!(v.is_allowed(), "{}", v);
+    // ...and the schedule satisfies both physical specs.
+    let sched = report.schedule();
+    for dir in Dir::BOTH {
+        let v = PlModule::pl_fifo(dir).check(&sched, TraceKind::Complete);
+        prop_assert!(v.is_allowed(), "PL-FIFO^{}: {}", dir, v);
+    }
+    Ok(())
 }
 
 macro_rules! dl_conformance_over_fifo {
@@ -31,29 +67,26 @@ macro_rules! dl_conformance_over_fifo {
                 n in 1u64..20,
                 mode in loss_strategy(),
             ) {
-                let p = $make;
-                let sys = link_system(
-                    p.transmitter,
-                    p.receiver,
-                    LossyFifoChannel::new(Dir::TR, mode),
-                    LossyFifoChannel::new(Dir::RT, mode),
-                );
-                let mut runner = Runner::new(seed, 2_000_000);
-                let report = runner.run(&sys, &Script::deliver_n(n));
-                prop_assert!(report.quiescent, "did not quiesce");
-                prop_assert_eq!(report.metrics.msgs_received, n);
-                // The behavior satisfies the full DL spec...
-                let v = DlModule::full().check(&report.behavior, TraceKind::Complete);
-                prop_assert!(v.is_allowed(), "{}", v);
-                // ...and the schedule satisfies both physical specs.
-                let sched = report.schedule();
-                for dir in Dir::BOTH {
-                    let v = PlModule::pl_fifo(dir).check(&sched, TraceKind::Complete);
-                    prop_assert!(v.is_allowed(), "PL-FIFO^{}: {}", dir, v);
-                }
+                dl_conformance_over_fifo($make, seed, n, mode)?;
             }
         }
     };
+}
+
+/// A case proptest once shrank to and persisted (seed 33324099, n 6,
+/// every 4th packet lost), replayed through every protocol above.
+#[test]
+fn recorded_every_4th_loss_case_conforms() {
+    use datalink::protocols as p;
+    let (seed, n, mode) = (33_324_099, 6, LossMode::EveryNth(4));
+    dl_conformance_over_fifo(p::abp::protocol(), seed, n, mode).unwrap();
+    dl_conformance_over_fifo(p::sliding_window::protocol(2), seed, n, mode).unwrap();
+    dl_conformance_over_fifo(p::sliding_window::protocol(5), seed, n, mode).unwrap();
+    dl_conformance_over_fifo(p::selective_repeat::protocol(3), seed, n, mode).unwrap();
+    dl_conformance_over_fifo(p::fragmenting::protocol(), seed, n, mode).unwrap();
+    dl_conformance_over_fifo(p::parity::protocol(), seed, n, mode).unwrap();
+    dl_conformance_over_fifo(p::stenning::protocol(), seed, n, mode).unwrap();
+    dl_conformance_over_fifo(p::nonvolatile::protocol(), seed, n, mode).unwrap();
 }
 
 dl_conformance_over_fifo!(
