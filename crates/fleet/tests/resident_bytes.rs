@@ -9,13 +9,15 @@
 //! estimates never exceed the bytes the session holds, and what they
 //! leave out stays a bounded remainder.
 //!
-//! Measured: 4.3–4.7 kB held against a 3.4–3.8 kB `resident_bytes`, a
-//! remainder of 848–952 bytes. Dropping the session's parts one by one
+//! Measured: 4.4–4.8 kB held against a 3.4–3.8 kB `resident_bytes`, a
+//! remainder of 936–1040 bytes. Dropping the session's parts one by one
 //! splits it into ≈320–430 bytes of composed-state buffers (emptied
 //! queues keep their capacity) and ≈680 bytes of `Metrics` heap, of
-//! which the estimate charges only the live entries. With the monitor
-//! on, its `monitor_bytes` estimate is added and the remainder is
-//! 848–1132 bytes.
+//! which the estimate charges only the live entries. The stations step
+//! their queues in place, so those keep their capacity too: that is
+//! 70–90 bytes more than when each step cloned the station state, whose
+//! clones were sized to their contents. With the monitor on, its
+//! `monitor_bytes` estimate is added and the remainder is 936–1220 bytes.
 //!
 //! "Held" is the live heap (allocated minus freed bytes) that building
 //! and running the session leaves behind on the measuring thread. The
@@ -162,6 +164,6 @@ fn resident_bytes_is_a_lower_bound_with_a_bounded_remainder() {
     }
 }
 
-/// About 1.5× the largest measured remainder (1132 bytes, see the module
+/// About 1.4× the largest measured remainder (1220 bytes, see the module
 /// docs).
 const UNCOUNTED_CEILING: i64 = 1700;
