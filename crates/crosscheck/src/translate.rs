@@ -10,6 +10,10 @@
 //! differential also cross-checks that contract on every composed
 //! automaton it touches: an override whose callback order drifted from
 //! its `Vec` order would show up as a count or trace disagreement.
+//!
+//! For the zoo stations that check is vacuous: `station_automaton!`
+//! derives both families from one `StationLogic::apply` and
+//! `for_each_local`. It still covers the channels and `Compose2`.
 
 use std::fmt::Debug;
 use std::hash::Hash;

@@ -21,7 +21,7 @@
 //!   `TraceMonitor` sidecar for first-violation abort and per-session
 //!   complete-trace verdicts. Immutable protocol/channel tables are
 //!   separated from per-session mutable state, so a session core costs
-//!   ≈5 kB by its `resident_bytes` estimate (E13: 5056 bytes at 10⁶
+//!   ≈5 kB by its `resident_bytes` estimate (E13: 4416 bytes at 10⁶
 //!   sessions; a lower bound, ≈1 kB short of the live heap), plus the
 //!   monitor's value tables, reported separately and ≈300 kB at peak.
 //! * [`engine`] — [`run_fleet`]: contiguous per-worker id ranges,

@@ -87,11 +87,11 @@ pub trait Automaton {
     /// successor enumeration: [`successors_into`](Automaton::successors_into),
     /// [`is_enabled`](Automaton::is_enabled) and
     /// [`step_first`](Automaton::step_first) are all derived from it, so an
-    /// automaton that overrides it (the protocol zoo, the channels, and
-    /// [`Compose2`](crate::composition::Compose2) do) gets a Vec-free hot
-    /// path everywhere at once. Overrides must enumerate **exactly** the
-    /// `successors` list — same states, same order — since executors pick
-    /// successors by position.
+    /// automaton that overrides it (the channels, the station automata
+    /// `dl-core` derives, and [`Compose2`](crate::composition::Compose2)
+    /// do) gets a Vec-free hot path everywhere at once. Overrides must
+    /// enumerate **exactly** the `successors` list — same states, same
+    /// order — since executors pick successors by position.
     fn try_for_each_successor(
         &self,
         state: &Self::State,
@@ -141,7 +141,7 @@ pub trait Automaton {
     /// (the session runner) and the explorer, which steps a scratch copy
     /// of each parent through every pick and back with
     /// [`restore`](Automaton::restore), call it so that an override — the
-    /// channels, the WDL observer, the protocol zoo and
+    /// channels, the WDL observer, the derived station automata and
     /// [`Compose2`](crate::composition::Compose2) — can mutate only the
     /// components the action touches instead of rebuilding the whole
     /// state by value.

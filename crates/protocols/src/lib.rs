@@ -13,19 +13,23 @@
 //! | [`quirky`] — deliberately message-dependent | unbounded | yes | FIFO, no crashes | negative control: engines detect its false independence claim |
 //! | [`stabilizing`] — repetition/counting self-stabilizing link (arXiv 1011.3632) | unbounded | yes | **non-FIFO, arbitrary initial configuration** (eventual) | the Theorem 8.5 boundary revisited: unbounded headers + counting make even corrupted starts converge |
 //!
-//! Every protocol implements the `dl-core` traits ([`ioa::Automaton`],
-//! `StationAutomaton`, `MessageIndependent`) and follows the §5.1
-//! signatures; each module's tests drive the protocol end-to-end over the
-//! channels of `dl-channels` and check the resulting behavior against the
-//! `DL`/`WDL` specifications.
+//! Each station is written once, as a
+//! [`StationLogic`](dl_core::protocol::StationLogic): its station, its
+//! corrupted start, an in-place `apply` and the one enumeration of its
+//! enabled local actions. [`dl_core::station_automaton!`] derives
+//! [`ioa::Automaton`] and `StationAutomaton` from that, so every station
+//! follows the §5.1 signatures and task partition; each module adds
+//! `MessageIndependent` and its packed state codec, and its tests drive
+//! the protocol end-to-end over the channels of `dl-channels` and check
+//! the resulting behavior against the `DL`/`WDL` specifications.
 //!
 //! # Conventions shared by all protocols
 //!
 //! * Deterministic automata: a unique start state and singleton successor
 //!   sets, so the proof engines can replay them exactly.
 //! * Packets are emitted with [`dl_core::action::Packet::UNSTAMPED`] uids
-//!   and accepted with any uid (transitions compare
-//!   [`dl_core::action::Packet::content`]); executors stamp fresh uids.
+//!   and accepted with any uid (enabledness compares actions up to the
+//!   uid); executors stamp fresh uids.
 //! * `send_pkt` is only enabled while the protocol believes its outgoing
 //!   medium is active (tracking `wake`/`fail`), honoring PL1.
 //! * Input actions outside a protocol's interest (malformed headers, stale

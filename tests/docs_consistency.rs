@@ -115,3 +115,39 @@ fn design_lists_every_protocol_module() {
         );
     }
 }
+
+/// Every zoo station is written once, as a `StationLogic`, and gets its
+/// `Automaton` impl from `dl_core::station_automaton!` — none is written
+/// by hand. The stations are the 18 types `dl-protocols` re-exports.
+#[test]
+fn zoo_stations_derive_automaton_from_station_logic() {
+    let src = repo_root().join("crates/protocols/src");
+    let lib = fs::read_to_string(src.join("lib.rs")).unwrap();
+    let stations: Vec<&str> = lib
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub use ")?.split_once("::{"))
+        .flat_map(|(_, names)| names.trim_end_matches("};").split(", "))
+        .collect();
+    assert_eq!(stations.len(), 18, "re-exported stations: {stations:?}");
+
+    let mut derived = String::new();
+    for entry in fs::read_dir(&src).unwrap() {
+        let path = entry.unwrap().path();
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(
+            !text.contains("impl Automaton for"),
+            "{} writes an Automaton impl by hand",
+            path.display()
+        );
+        for (idx, _) in text.match_indices("station_automaton!(") {
+            let call = &text[idx..];
+            derived.push_str(&call[..call.find(')').unwrap()]);
+        }
+    }
+    for station in stations {
+        assert!(
+            derived.contains(&format!("{station} =>")),
+            "{station} is not derived through station_automaton!"
+        );
+    }
+}
