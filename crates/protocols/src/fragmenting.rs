@@ -61,7 +61,7 @@ pub struct FragTxState {
 pub struct FragTransmitter;
 
 impl FragTransmitter {
-    /// Fragment `i` of the front message, without materializing the list.
+    /// Fragment `i` (0 or 1) of the front message, if there is one.
     fn nth_fragment(s: &FragTxState, i: u8) -> Option<Packet> {
         let m = *s.queue.front()?;
         (i < 2).then(|| Packet::data(frag_seq(s.bit, i), m))

@@ -67,9 +67,8 @@ pub struct ParityTxState {
 pub struct ParityTransmitter;
 
 impl ParityTransmitter {
-    /// The `i`-th packet the front message enables, without materializing
-    /// the whole list: one `WHOLE` packet for even messages, two `PART`
-    /// fragments for odd ones.
+    /// The `i`-th packet the front message enables: one `WHOLE` packet
+    /// for even messages, two `PART` fragments for odd ones.
     fn nth_packet(s: &ParityTxState, i: u8) -> Option<Packet> {
         let m = *s.queue.front()?;
         if is_whole_class(m) {
