@@ -199,13 +199,20 @@ macro_rules! station_automaton {
                     a,
                 )
             }
-            fn successors(&self, s: &$state, a: &$crate::action::DlAction) -> ::std::vec::Vec<$state> {
+            fn successors(
+                &self,
+                s: &$state,
+                a: &$crate::action::DlAction,
+            ) -> ::std::vec::Vec<$state> {
                 $crate::protocol::station_support::step(self, s, a).into_iter().collect()
             }
             fn enabled_local(&self, s: &$state) -> ::std::vec::Vec<$crate::action::DlAction> {
                 $crate::protocol::station_support::enabled_local(self, s)
             }
-            fn task_of(&self, a: &$crate::action::DlAction) -> $crate::protocol::station_support::TaskId {
+            fn task_of(
+                &self,
+                a: &$crate::action::DlAction,
+            ) -> $crate::protocol::station_support::TaskId {
                 $crate::protocol::station_support::task_of(
                     <Self as $crate::protocol::StationLogic>::STATION,
                     a,
@@ -227,7 +234,11 @@ macro_rules! station_automaton {
                     ::std::option::Option::None => ::std::ops::ControlFlow::Continue(()),
                 }
             }
-            fn step_first(&self, s: &$state, a: &$crate::action::DlAction) -> ::std::option::Option<$state> {
+            fn step_first(
+                &self,
+                s: &$state,
+                a: &$crate::action::DlAction,
+            ) -> ::std::option::Option<$state> {
                 $crate::protocol::station_support::step(self, s, a)
             }
             fn step_in_place(
