@@ -103,9 +103,11 @@ stage_stabilize_smoke() {
   # bounded convergence runs over the corrupted fault class (hand-built
   # corruption genes + a cold-start fuzz campaign that must find no
   # counterexample), the stabilizing-fleet worker-count differential
-  # with convergence-index pins, and the explorer's shortest path into
-  # the stabilized region.
+  # with convergence-index pins, E14's corruption and loss sweeps (every
+  # count of its table), and the explorer's shortest path into the
+  # stabilized region.
   cargo test --release -q -p dl-fuzz --test stabilize_smoke
+  cargo test --release -q -p dl-fleet --test stabilize_sweep
   cargo test --release -q -p dl-fleet --test differential stabilizing_fleet
   cargo test --release -q --test model_checking corrupted_stabilizing
 }
