@@ -342,6 +342,7 @@ pub fn stabilize_converge(workers: usize, sleep_micros: u64) -> RunLedger {
     ledger.histogram("convergence_actions", &report.verdicts.convergence_hist);
     ledger.counter("violations", report.violations);
     ledger.counter("peak_session_bytes", report.peak_session_bytes);
+    ledger.counter("peak_monitor_bytes", report.peak_monitor_bytes);
     let secs = elapsed.as_secs_f64().max(1e-9);
     ledger.gauge("sessions_per_sec", report.sessions() as f64 / secs);
     ledger.gauge("actions_per_sec", report.actions as f64 / secs);

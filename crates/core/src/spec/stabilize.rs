@@ -92,17 +92,22 @@ impl SuffixReport {
         self.violation.is_none()
     }
 
-    /// The stabilization time in actions — an alias for
-    /// [`SuffixReport::convergence_index`], named for what it measures.
-    #[must_use]
-    pub fn stabilization_actions(&self) -> usize {
-        self.convergence_index
-    }
-}
-
-impl Default for SuffixMonitor {
-    fn default() -> Self {
-        SuffixMonitor::new(false)
+    /// The stabilizing verdict under a **corruption budget**: corrupted
+    /// counters entitle the convergence climb to consume up to `budget`
+    /// messages. `Ok` carries the convergence index.
+    ///
+    /// # Errors
+    ///
+    /// `"DL8"` when `lost` messages (sent minus delivered) exceed the
+    /// budget; otherwise a safety violation that survives every candidate
+    /// convergence point. A suffix `"DL8"` whose loss fits the budget is
+    /// forgiven.
+    pub fn judge(&self, lost: u64, budget: u64) -> Result<usize, &'static str> {
+        match self.violation {
+            Some("DL8") | None if lost > budget => Err("DL8"),
+            Some(property) if property != "DL8" => Err(property),
+            _ => Ok(self.convergence_index),
+        }
     }
 }
 
@@ -193,23 +198,14 @@ impl SuffixMonitor {
         }
     }
 
-    /// Global actions observed so far.
+    /// Approximate bytes of the monitor, struct included (a session that
+    /// boxes its monitor holds all of it on the heap): the inner
+    /// [`TraceMonitor::approx_bytes`] plus the pending-message list.
     #[must_use]
-    pub fn actions_observed(&self) -> usize {
-        self.observed
-    }
-
-    /// The current candidate convergence index: the global trace index
-    /// where the present violation-free suffix begins.
-    #[must_use]
-    pub fn convergence_index(&self) -> usize {
-        self.suffix_start
-    }
-
-    /// Monitor restarts so far.
-    #[must_use]
-    pub fn resets(&self) -> u64 {
-        self.resets
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.inner.approx_bytes()
+            + self.pending.capacity() * std::mem::size_of::<(Msg, usize)>()
     }
 
     /// Concludes suffix-mode conformance.
@@ -281,7 +277,6 @@ mod tests {
             }
         );
         assert!(report.converged());
-        assert_eq!(report.stabilization_actions(), 0);
     }
 
     #[test]
@@ -410,6 +405,21 @@ mod tests {
     }
 
     #[test]
+    fn judge_charges_losses_to_the_corruption_budget() {
+        let report = |violation| SuffixReport {
+            convergence_index: 4,
+            resets: 1,
+            violation,
+        };
+        assert_eq!(report(None).judge(2, 2), Ok(4));
+        assert_eq!(report(None).judge(3, 2), Err("DL8"));
+        assert_eq!(report(Some("DL8")).judge(1, 1), Ok(4), "budgeted loss");
+        assert_eq!(report(Some("DL8")).judge(2, 1), Err("DL8"));
+        assert_eq!(report(Some("DL5")).judge(0, 9), Err("DL5"));
+        assert_eq!(report(Some("DL5")).judge(9, 0), Err("DL5"));
+    }
+
+    #[test]
     fn streaming_matches_scan() {
         let mut trace = wake_both();
         trace.extend([
@@ -428,6 +438,5 @@ mod tests {
             mon.finish(TraceKind::Complete),
             SuffixMonitor::scan(&trace, false)
         );
-        assert_eq!(mon.actions_observed(), trace.len());
     }
 }

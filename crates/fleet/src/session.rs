@@ -13,10 +13,6 @@
 //! online monitor's value tables come on top, reported separately
 //! ([`SessionOutcome::monitor_bytes`], ≈300 kB at peak), since they grow
 //! with the distinct packet values a session sends.
-//! The one exception is the stabilizing variant, which records its trace
-//! (suffix-mode judgment needs the whole behavior) and therefore pays
-//! trace-proportional memory — the corrupted-start fault class buys its
-//! eventual-correctness verdicts with that footprint.
 //!
 //! Monitoring posture mirrors `dl-fuzz`: `monitor_pl = false` (the
 //! duplication fault knob violates PL3 *by design*), `full_dl = false`,
@@ -24,6 +20,14 @@
 //! quiesce crash-free with the script fully consumed — a complete-trace
 //! `WDL` verdict from the streaming monitor, which adds DL8 liveness
 //! without ever materializing the trace.
+//!
+//! Stabilizing sessions start from a corrupted configuration, which is
+//! supposed to misbehave for a prefix, so they run without the online
+//! monitor. A boxed streaming [`SuffixMonitor`] observes their behavior
+//! instead, and at teardown judges it in suffix mode under the
+//! corruption budget ([`SuffixReport::judge`]).
+//!
+//! [`SuffixReport::judge`]: dl_core::spec::stabilize::SuffixReport::judge
 
 use ioa::schedule_module::{TraceKind, Verdict};
 
@@ -71,10 +75,9 @@ pub enum ZooSession {
     /// The deliberately message-dependent negative control.
     Quirky(Step<dl_protocols::QuirkyTransmitter, dl_protocols::QuirkyReceiver>),
     /// The self-stabilizing protocol, possibly from a corrupted initial
-    /// configuration. Unlike every other variant this one *records* its
-    /// trace (no online monitor — a corrupted start is supposed to
-    /// misbehave for a prefix) and is judged in suffix mode at teardown.
-    Stabilizing(SessionStep<StabilizeSystem>),
+    /// configuration, with the suffix monitor that observes its
+    /// behavior. Boxed: inline, the monitor would grow every variant.
+    Stabilizing(SessionStep<StabilizeSystem>, Box<SuffixMonitor>),
 }
 
 /// Runs `$body` with `$s` bound to the inner [`SessionStep`], whatever
@@ -90,7 +93,7 @@ macro_rules! with_session {
             ZooSession::Stenning($s) => $body,
             ZooSession::Nonvolatile($s) => $body,
             ZooSession::Quirky($s) => $body,
-            ZooSession::Stabilizing($s) => $body,
+            ZooSession::Stabilizing($s, _) => $body,
         }
     };
 }
@@ -132,50 +135,32 @@ where
 /// Builds session `cfg` as a lean, incrementally-steppable [`ZooSession`].
 #[must_use]
 pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
+    use dl_protocols as p;
+    macro_rules! lean {
+        ($variant:ident, $protocol:expr) => {
+            ZooSession::$variant(lean_step($protocol, cfg, spec))
+        };
+    }
     match cfg.protocol {
-        ProtocolKind::Abp => ZooSession::Abp(lean_step(dl_protocols::abp::protocol(), cfg, spec)),
-        ProtocolKind::GoBack2 => ZooSession::SlidingWindow(lean_step(
-            dl_protocols::sliding_window::protocol(2),
-            cfg,
-            spec,
-        )),
-        ProtocolKind::GoBack8 => ZooSession::SlidingWindow(lean_step(
-            dl_protocols::sliding_window::protocol(8),
-            cfg,
-            spec,
-        )),
-        ProtocolKind::SelectiveRepeat4 => ZooSession::SelectiveRepeat(lean_step(
-            dl_protocols::selective_repeat::protocol(4),
-            cfg,
-            spec,
-        )),
-        ProtocolKind::Fragmenting => {
-            ZooSession::Fragmenting(lean_step(dl_protocols::fragmenting::protocol(), cfg, spec))
-        }
-        ProtocolKind::Parity => {
-            ZooSession::Parity(lean_step(dl_protocols::parity::protocol(), cfg, spec))
-        }
-        ProtocolKind::Stenning => {
-            ZooSession::Stenning(lean_step(dl_protocols::stenning::protocol(), cfg, spec))
-        }
-        ProtocolKind::Nonvolatile => {
-            ZooSession::Nonvolatile(lean_step(dl_protocols::nonvolatile::protocol(), cfg, spec))
-        }
-        ProtocolKind::Quirky => {
-            ZooSession::Quirky(lean_step(dl_protocols::quirky::protocol(), cfg, spec))
-        }
+        ProtocolKind::Abp => lean!(Abp, p::abp::protocol()),
+        ProtocolKind::GoBack2 => lean!(SlidingWindow, p::sliding_window::protocol(2)),
+        ProtocolKind::GoBack8 => lean!(SlidingWindow, p::sliding_window::protocol(8)),
+        ProtocolKind::SelectiveRepeat4 => lean!(SelectiveRepeat, p::selective_repeat::protocol(4)),
+        ProtocolKind::Fragmenting => lean!(Fragmenting, p::fragmenting::protocol()),
+        ProtocolKind::Parity => lean!(Parity, p::parity::protocol()),
+        ProtocolKind::Stenning => lean!(Stenning, p::stenning::protocol()),
+        ProtocolKind::Nonvolatile => lean!(Nonvolatile, p::nonvolatile::protocol()),
+        ProtocolKind::Quirky => lean!(Quirky, p::quirky::protocol()),
         ProtocolKind::Stabilizing => {
             let corruption = cfg
                 .corruption
                 .expect("stabilizing session configs carry a corruption spec");
-            let protocol = dl_protocols::stabilizing::corrupted(
+            let protocol = p::stabilizing::corrupted(
                 u64::from(corruption.channels[0].capacity),
                 corruption.tx_seq,
                 corruption.rx_expected,
             );
             // No online conformance: the divergent prefix would trip it.
-            // Recording (not lean): the suffix monitor judges the full
-            // behavior at teardown.
             let runner = Runner::new(cfg.seed, spec.max_steps);
             let system = link_system(
                 protocol.transmitter,
@@ -183,21 +168,74 @@ pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
                 CorruptChannel::new(Dir::TR, corruption.channels[0]),
                 CorruptChannel::new(Dir::RT, corruption.channels[1]),
             );
-            ZooSession::Stabilizing(SessionStep::new(runner, system, cfg.script.clone()))
+            ZooSession::Stabilizing(
+                SessionStep::lean(runner, system, cfg.script.clone()),
+                Box::new(SuffixMonitor::new(false)),
+            )
         }
     }
 }
 
 impl ZooSession {
-    /// Takes up to `budget` actions; returns how many were taken.
+    /// Takes up to `budget` actions; returns how many were taken. A
+    /// stabilizing session's suffix monitor observes each one that
+    /// `link_system` does not hide, so its indices are behavior
+    /// positions.
     pub fn advance_batch(&mut self, budget: usize) -> usize {
-        with_session!(self, s => s.advance_batch(budget))
+        let ZooSession::Stabilizing(s, monitor) = self else {
+            return with_session!(self, s => s.advance_batch(budget));
+        };
+        let mut taken = 0;
+        while taken < budget {
+            let Some(action) = s.advance() else { break };
+            if !action.is_packet_action() {
+                monitor.observe(&action);
+            }
+            taken += 1;
+        }
+        taken
     }
 
     /// `true` once the session's run is over.
     #[must_use]
     pub fn is_done(&self) -> bool {
         with_session!(self, s => s.is_done())
+    }
+
+    /// The violated property, if any, and a stabilizing session's
+    /// convergence index. Classic sessions: the online safety conclusion
+    /// first; quiescent crash-free runs additionally get the
+    /// complete-trace `WDL` verdict (adds DL8) straight from the
+    /// streaming monitor. Quiescent stabilizing sessions: the suffix
+    /// verdict under the corruption budget, which charges the messages
+    /// sent but never delivered.
+    fn verdict(&self, cfg: &SessionConfig) -> (Option<&'static str>, Option<u64>) {
+        if let ZooSession::Stabilizing(s, monitor) = self {
+            if !s.quiescent() {
+                return (None, None);
+            }
+            let budget = cfg
+                .corruption
+                .expect("stabilizing session configs carry a corruption spec")
+                .budget();
+            let metrics = s.metrics();
+            let lost = metrics.msgs_sent.saturating_sub(metrics.msgs_received);
+            return match monitor.finish(TraceKind::Complete).judge(lost, budget) {
+                Ok(at) => (None, Some(at as u64)),
+                Err(property) => (Some(property), None),
+            };
+        }
+        with_session!(self, s => {
+            let mut violation = s.online_violation().map(|v| v.property);
+            if violation.is_none() && s.quiescent() && !cfg.crashed {
+                if let Some(monitor) = s.monitor() {
+                    if let Verdict::Violated(v) = monitor.dl_verdict(true, TraceKind::Complete) {
+                        violation = Some(v.property);
+                    }
+                }
+            }
+            (violation, None)
+        })
     }
 
     /// Tears the finished session down into its compact outcome, folding
@@ -210,22 +248,12 @@ impl ZooSession {
         steps_hist: &mut Histogram,
         latency_hist: &mut Histogram,
     ) -> SessionOutcome {
-        if let ZooSession::Stabilizing(s) = self {
-            return finish_stabilizing(s, cfg, steps_hist, latency_hist);
-        }
+        let (violation, convergence) = self.verdict(cfg);
+        let monitor_bytes = match &self {
+            ZooSession::Stabilizing(_, monitor) => monitor.approx_bytes() as u64,
+            _ => with_session!(&self, s => s.monitor_bytes()),
+        };
         with_session!(self, s => {
-            let quiescent = s.quiescent();
-            // Online safety conclusion first; quiescent crash-free runs
-            // additionally get the complete-trace WDL verdict (adds DL8)
-            // straight from the streaming monitor — no retained trace.
-            let mut violation = s.online_violation().map(|v| v.property);
-            if violation.is_none() && quiescent && !cfg.crashed {
-                if let Some(monitor) = s.monitor() {
-                    if let Verdict::Violated(v) = monitor.dl_verdict(true, TraceKind::Complete) {
-                        violation = Some(v.property);
-                    }
-                }
-            }
             let metrics = s.metrics();
             steps_hist.record(metrics.steps);
             for latency in &metrics.latencies {
@@ -236,72 +264,16 @@ impl ZooSession {
                 protocol: cfg.protocol,
                 steps: metrics.steps,
                 digest: s.digest(),
-                quiescent,
+                quiescent: s.quiescent(),
                 crashed: cfg.crashed,
                 violation,
                 msgs_sent: metrics.msgs_sent,
                 msgs_delivered: metrics.msgs_received,
                 resident_bytes: s.resident_bytes(),
-                monitor_bytes: s.monitor_bytes(),
-                convergence: None,
+                monitor_bytes,
+                convergence,
             }
         })
-    }
-}
-
-/// Tears a stabilizing session down: suffix-mode conformance over the
-/// recorded behavior, plus the corruption-budget liveness check (the
-/// convergence climb may consume [`CorruptionSpec::budget`] messages —
-/// losing one more means the protocol failed to stabilize).
-///
-/// [`CorruptionSpec::budget`]: crate::spec::CorruptionSpec::budget
-fn finish_stabilizing(
-    s: SessionStep<StabilizeSystem>,
-    cfg: &SessionConfig,
-    steps_hist: &mut Histogram,
-    latency_hist: &mut Histogram,
-) -> SessionOutcome {
-    let corruption = cfg
-        .corruption
-        .expect("stabilizing session configs carry a corruption spec");
-    let quiescent = s.quiescent();
-    let digest = s.digest();
-    let resident_bytes = s.resident_bytes();
-    let monitor_bytes = s.monitor_bytes();
-    let (_, report) = s.into_report();
-    steps_hist.record(report.metrics.steps);
-    for latency in &report.metrics.latencies {
-        latency_hist.record(*latency);
-    }
-    let mut violation = None;
-    let mut convergence = None;
-    if quiescent {
-        let suffix = SuffixMonitor::scan(&report.behavior, false);
-        let lost = report
-            .metrics
-            .msgs_sent
-            .saturating_sub(report.metrics.msgs_received);
-        match suffix.violation {
-            Some("DL8") | None if lost > corruption.budget() => {
-                violation = Some("DL8");
-            }
-            Some(property) if property != "DL8" => violation = Some(property),
-            _ => convergence = Some(suffix.convergence_index as u64),
-        }
-    }
-    SessionOutcome {
-        id: cfg.id,
-        protocol: cfg.protocol,
-        steps: report.metrics.steps,
-        digest,
-        quiescent,
-        crashed: cfg.crashed,
-        violation,
-        msgs_sent: report.metrics.msgs_sent,
-        msgs_delivered: report.metrics.msgs_received,
-        resident_bytes,
-        monitor_bytes,
-        convergence,
     }
 }
 
@@ -331,8 +303,10 @@ pub struct SessionOutcome {
     /// Resident-footprint estimate at teardown (see
     /// [`SessionStep::resident_bytes`]).
     pub resident_bytes: u64,
-    /// The online monitor's footprint at teardown (see
-    /// [`SessionStep::monitor_bytes`]); 0 when unmonitored.
+    /// The monitor's footprint at teardown: the online monitor's (see
+    /// [`SessionStep::monitor_bytes`]; 0 when unmonitored), or a
+    /// stabilizing session's suffix monitor's (see
+    /// [`SuffixMonitor::approx_bytes`]).
     pub monitor_bytes: u64,
     /// For stabilizing sessions that converged: the convergence index —
     /// the behavior position where the conforming suffix begins, i.e.
@@ -340,4 +314,15 @@ pub struct SessionOutcome {
     /// start). `None` for every other kind, for truncated runs, and for
     /// stabilizing sessions that failed to converge.
     pub convergence: Option<u64>,
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn zoo_session_stays_small() {
+        // Every live session costs at least this much; an inline suffix
+        // monitor would add ≈1.8 kB to each of them.
+        let size = std::mem::size_of::<super::ZooSession>();
+        assert!(size <= 2_648, "ZooSession grew to {size} bytes");
+    }
 }

@@ -37,8 +37,7 @@ fn mixed_fleet_completes_and_replays() {
     assert!(report.crash_sessions > 0);
     assert!(report.quiescent_sessions > 0);
     // Sessions stay lean: a session core of ≈5 kB, not a trace
-    // allocation storm (the bound is generous; recording stabilizing
-    // sessions are the largest).
+    // allocation storm (the bound is generous).
     assert!(
         report.peak_session_bytes < 64 * 1024,
         "peak session bytes blew up: {}",

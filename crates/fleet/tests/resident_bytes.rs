@@ -5,9 +5,10 @@
 //! metrics maps, and leaves out the heap owned by the composed state
 //! (protocol queues, channel buffers) and the metrics' B-tree nodes.
 //! This test pins that description on one lean session of each classic
-//! protocol (fleet seed 13, default faults, monitors off and on): the
-//! estimates never exceed the bytes the session holds, and what they
-//! leave out stays a bounded remainder.
+//! protocol (fleet seed 13, default faults, monitors off and on) and on
+//! eight fully corrupted stabilizing sessions (seed 14): the estimates
+//! never exceed the bytes the session holds, and what they leave out
+//! stays a bounded remainder.
 //!
 //! Measured: 4.4–4.8 kB held against a 3.4–3.8 kB `resident_bytes`, a
 //! remainder of 936–1040 bytes. Dropping the session's parts one by one
@@ -18,6 +19,9 @@
 //! 70–90 bytes more than when each step cloned the station state, whose
 //! clones were sized to their contents. With the monitor on, its
 //! `monitor_bytes` estimate is added and the remainder is 936–1220 bytes.
+//! A stabilizing session holds 6.6–6.9 kB: a 3.7–3.9 kB `resident_bytes`,
+//! 2,144 bytes of boxed `SuffixMonitor`, and a remainder of 696–880
+//! bytes.
 //!
 //! "Held" is the live heap (allocated minus freed bytes) that building
 //! and running the session leaves behind on the measuring thread. The
@@ -27,12 +31,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dl_channels::FaultyChannel;
+use dl_channels::{CorruptChannel, FaultyChannel};
 use dl_core::action::{Dir, DlAction};
 use dl_core::protocol::DataLinkProtocol;
+use dl_core::spec::stabilize::SuffixMonitor;
 use dl_fleet::{fleet_policy, session_config, FleetSpec, ProtocolKind};
 use dl_protocols::{
-    abp, fragmenting, nonvolatile, parity, quirky, selective_repeat, sliding_window, stenning,
+    abp, fragmenting, nonvolatile, parity, quirky, selective_repeat, sliding_window, stabilizing,
+    stenning,
 };
 use dl_sim::{link_system, Runner, SessionStep};
 use ioa::automaton::Automaton;
@@ -123,6 +129,78 @@ where
     )
 }
 
+/// Builds and runs stabilizing session `id` the way the fleet does: a
+/// lean session whose behavior actions feed a boxed suffix monitor.
+/// Returns the bytes it holds and its two estimates (core, monitor).
+fn measure_stabilizing(spec: &FleetSpec, id: u64) -> (i64, i64, i64) {
+    let cfg = session_config(spec, id);
+    let corruption = cfg.corruption.expect("a stabilizing session");
+    let protocol = stabilizing::corrupted(
+        u64::from(corruption.channels[0].capacity),
+        corruption.tx_seq,
+        corruption.rx_expected,
+    );
+    let system = link_system(
+        protocol.transmitter,
+        protocol.receiver,
+        CorruptChannel::new(Dir::TR, corruption.channels[0]),
+        CorruptChannel::new(Dir::RT, corruption.channels[1]),
+    );
+    let ((session, monitor), held) = live_after(|| {
+        let runner = Runner::new(cfg.seed, spec.max_steps);
+        let mut session = Box::new(SessionStep::lean(runner, system, cfg.script.clone()));
+        let mut monitor = Box::new(SuffixMonitor::new(false));
+        while let Some(action) = session.advance() {
+            if !action.is_packet_action() {
+                monitor.observe(&action);
+            }
+        }
+        (session, monitor)
+    });
+    let estimate = |bytes: usize| i64::try_from(bytes).expect("estimate fits i64");
+    (
+        held,
+        estimate(session.resident_bytes() as usize),
+        estimate(monitor.approx_bytes()),
+    )
+}
+
+/// Asserts the estimates stay under the held bytes, within
+/// [`UNCOUNTED_CEILING`].
+fn check(label: &str, (held, resident, monitor_bytes): (i64, i64, i64)) {
+    let uncounted = held - resident - monitor_bytes;
+    eprintln!(
+        "{label}: held {held}, resident_bytes {resident}, monitor_bytes {monitor_bytes}, \
+         uncounted {uncounted}"
+    );
+    assert!(
+        uncounted > 0,
+        "{label}: the estimates ({resident} + {monitor_bytes}) claim more than the {held} \
+         bytes the session holds"
+    );
+    assert!(
+        uncounted < UNCOUNTED_CEILING,
+        "{label}: {uncounted} of {held} held bytes are missing from the estimates \
+         ({resident} + {monitor_bytes}); at most 1220 were when this was pinned"
+    );
+}
+
+#[test]
+fn stabilizing_session_estimates_are_a_lower_bound() {
+    let spec = FleetSpec {
+        seed: 14,
+        protocols: vec![ProtocolKind::Stabilizing],
+        corruption_per256: 255,
+        ..FleetSpec::default()
+    };
+    for id in 0..8 {
+        check(
+            &format!("stabilizing session {id}"),
+            measure_stabilizing(&spec, id),
+        );
+    }
+}
+
 #[test]
 fn resident_bytes_is_a_lower_bound_with_a_bounded_remainder() {
     for monitor in [false, true] {
@@ -133,7 +211,7 @@ fn resident_bytes_is_a_lower_bound_with_a_bounded_remainder() {
         };
         for id in 0..ProtocolKind::CLASSIC.len() as u64 {
             let kind = session_config(&spec, id).protocol;
-            let (held, resident, monitor_bytes) = match kind {
+            let bytes = match kind {
                 ProtocolKind::Abp => measure(abp::protocol(), &spec, id),
                 ProtocolKind::GoBack2 => measure(sliding_window::protocol(2), &spec, id),
                 ProtocolKind::GoBack8 => measure(sliding_window::protocol(8), &spec, id),
@@ -145,21 +223,7 @@ fn resident_bytes_is_a_lower_bound_with_a_bounded_remainder() {
                 ProtocolKind::Quirky => measure(quirky::protocol(), &spec, id),
                 ProtocolKind::Stabilizing => unreachable!("not in the classic mix"),
             };
-            let uncounted = held - resident - monitor_bytes;
-            eprintln!(
-                "{kind:?} (monitor {monitor}): held {held}, resident_bytes {resident}, \
-                 monitor_bytes {monitor_bytes}, uncounted {uncounted}"
-            );
-            assert!(
-                uncounted > 0,
-                "{kind:?}: the estimates ({resident} + {monitor_bytes}) claim more than the \
-                 {held} bytes the session holds"
-            );
-            assert!(
-                uncounted < UNCOUNTED_CEILING,
-                "{kind:?}: {uncounted} of {held} held bytes are missing from the estimates \
-                 ({resident} + {monitor_bytes}); at most 1132 were when this was pinned"
-            );
+            check(&format!("{kind:?} (monitor {monitor})"), bytes);
         }
     }
 }

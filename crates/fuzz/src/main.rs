@@ -28,15 +28,17 @@ OPTIONS:
     --help            this text
 ";
 
+#[derive(Debug)]
 struct Args {
     targets: Vec<&'static str>,
     cfg: FuzzConfig,
 }
 
-fn parse_args() -> Result<Option<Args>, String> {
+/// Parses the options after the program name; `Ok(None)` when `--help`
+/// or `--list` already printed everything asked for.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut cfg = FuzzConfig::default();
     let mut targets: Vec<&'static str> = Vec::new();
-    let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
@@ -70,6 +72,12 @@ fn parse_args() -> Result<Option<Args>, String> {
             other => return Err(format!("unknown option {other:?} (try --help)")),
         }
     }
+    if cfg.workers == 0 {
+        return Err("--workers must be at least 1".into());
+    }
+    if cfg.max_genes == 0 {
+        return Err("--max-genes must be at least 1".into());
+    }
     if targets.is_empty() {
         targets = all_targets().iter().map(|t| t.name).collect();
     }
@@ -81,7 +89,7 @@ fn parse_num(s: &str) -> Result<u64, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(Some(args)) => args,
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
@@ -103,4 +111,36 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(ToString::to_string))
+            .map(|args| args.expect("neither --help nor --list"))
+    }
+
+    #[test]
+    fn options_reach_the_config() {
+        let args = parsed(&["--target", "abp", "--workers", "2", "--max-genes", "5"]).unwrap();
+        assert_eq!(args.targets, ["abp"]);
+        assert_eq!((args.cfg.workers, args.cfg.max_genes), (2, 5));
+        assert_eq!(parsed(&[]).unwrap().targets.len(), all_targets().len());
+    }
+
+    #[test]
+    fn bad_values_are_rejected() {
+        for (args, error) in [
+            (&["--workers", "0"][..], "--workers must be at least 1"),
+            (&["--max-genes", "0"], "--max-genes must be at least 1"),
+            (&["--workers"], "--workers needs a value"),
+            (&["--seed", "x"], "not a number"),
+            (&["--target", "nope"], "unknown target"),
+        ] {
+            let err = parsed(args).unwrap_err();
+            assert!(err.contains(error), "{args:?}: unclear error {err:?}");
+        }
+    }
 }

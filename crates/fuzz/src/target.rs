@@ -317,53 +317,36 @@ fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
     let report = runner.run(&system, &plan.script);
 
     let mut violation = None;
-    let crash_free = !report
-        .behavior
-        .iter()
-        .any(|a| matches!(a, DlAction::Crash(_)));
-    if report.quiescent && crash_free {
+    if report.quiescent && report.metrics.crashes == 0 {
         let suffix = SuffixMonitor::scan(&report.behavior, cfg.full_dl);
         let budget = u64::from(c.rx_expected.saturating_sub(c.tx_seq));
-        let (mut sent, mut delivered) = (0u64, 0u64);
-        for a in &report.behavior {
-            match a {
-                DlAction::SendMsg(_) => sent += 1,
-                DlAction::ReceiveMsg(_) => delivered += 1,
-                _ => {}
-            }
-        }
-        let lost = sent.saturating_sub(delivered);
-        match suffix.violation {
-            // Liveness: the climb may consume `budget` messages; one more
-            // lost is a genuine failure to stabilize.
-            Some("DL8") | None if lost > budget => {
-                violation = Some(Violation {
-                    property: "DL8",
-                    at: Some(suffix.convergence_index),
-                    reason: format!(
-                        "{lost} messages lost exceeds the corruption budget {budget} \
-                         ({} resets)",
-                        suffix.resets
-                    ),
-                });
-            }
-            // Safety violations surviving every candidate convergence
-            // point (none are reachable from the current protocol — the
-            // monitor resets absorb prefix noise — but a counting-
-            // discipline regression would land here).
-            Some(property) if property != "DL8" => {
-                violation = Some(Violation {
-                    property,
-                    at: Some(suffix.convergence_index),
-                    reason: format!(
-                        "no conforming suffix: {property} survives past every candidate \
-                         convergence point ({} resets)",
-                        suffix.resets
-                    ),
-                });
-            }
-            _ => {}
-        }
+        let lost = report
+            .metrics
+            .msgs_sent
+            .saturating_sub(report.metrics.msgs_received);
+        violation = suffix.judge(lost, budget).err().map(|property| Violation {
+            property,
+            at: Some(suffix.convergence_index),
+            reason: if property == "DL8" {
+                // Liveness: the climb may consume `budget` messages; one
+                // more lost is a genuine failure to stabilize.
+                format!(
+                    "{lost} messages lost exceeds the corruption budget {budget} \
+                     ({} resets)",
+                    suffix.resets
+                )
+            } else {
+                // Safety violations surviving every candidate convergence
+                // point (none are reachable from the current protocol —
+                // the monitor resets absorb prefix noise — but a
+                // counting-discipline regression would land here).
+                format!(
+                    "no conforming suffix: {property} survives past every candidate \
+                     convergence point ({} resets)",
+                    suffix.resets
+                )
+            },
+        });
     }
 
     let coverage = coverage_keys(&report);

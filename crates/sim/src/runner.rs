@@ -432,7 +432,7 @@ impl Runner {
     {
         let runner = std::mem::replace(self, Runner::new(0, 0));
         let mut session: SessionStep<M, &M> =
-            SessionStep::from_state(runner, system, start, script.clone());
+            SessionStep::build(runner, system, start, script.clone(), true);
         session.run_to_end();
         let (runner, report) = session.into_report();
         *self = runner;
@@ -597,19 +597,7 @@ where
     /// Panics if the system has no start state.
     #[must_use]
     pub fn new(runner: Runner, system: B, script: crate::Script) -> Self {
-        let start = system
-            .borrow()
-            .start_states()
-            .into_iter()
-            .next()
-            .expect("automaton has a start state");
-        Self::from_state(runner, system, start, script)
-    }
-
-    /// A recording session from an explicit start state.
-    #[must_use]
-    pub fn from_state(runner: Runner, system: B, start: M::State, script: crate::Script) -> Self {
-        Self::build(runner, system, start, script, true)
+        Self::from_first_start(runner, system, script, true)
     }
 
     /// A lean session from the system's first start state: only the
@@ -624,13 +612,17 @@ where
     /// Panics if the system has no start state.
     #[must_use]
     pub fn lean(runner: Runner, system: B, script: crate::Script) -> Self {
+        Self::from_first_start(runner, system, script, false)
+    }
+
+    fn from_first_start(runner: Runner, system: B, script: crate::Script, retain: bool) -> Self {
         let start = system
             .borrow()
             .start_states()
             .into_iter()
             .next()
             .expect("automaton has a start state");
-        Self::build(runner, system, start, script, false)
+        Self::build(runner, system, start, script, retain)
     }
 
     fn build(
@@ -676,24 +668,22 @@ where
     }
 
     /// Advances the session by exactly one taken action (skipping over
-    /// script bookkeeping as needed); returns `false` once the run is
-    /// over — script consumed, budget exhausted, or monitor-aborted.
+    /// script bookkeeping as needed) and returns it, uid-stamped as the
+    /// system took it; returns `None` once the run is over — script
+    /// consumed, budget exhausted, or monitor-aborted.
     ///
     /// # Panics
     ///
     /// Panics if a scripted injection is not an enabled input of the
     /// system, exactly as [`Runner::run_from`] does.
-    pub fn advance(&mut self) -> bool {
+    pub fn advance(&mut self) -> Option<DlAction> {
         loop {
             let Cursor::At { step, local_left } = self.cursor else {
-                return false;
+                return None;
             };
-            let view = match self.script.steps().get(step) {
-                None => {
-                    self.cursor = Cursor::Halted;
-                    return false;
-                }
-                Some(s) => s.clone(),
+            let Some(view) = self.script.steps().get(step).cloned() else {
+                self.cursor = Cursor::Halted;
+                return None;
             };
             let Self {
                 runner,
@@ -707,82 +697,68 @@ where
                 ..
             } = self;
             let system: &M = (*system).borrow();
-            let tripped = |online: &Option<OnlineConformance>| {
-                online.as_ref().is_some_and(|o| o.violation.is_some())
-            };
-            match view {
+            let at_budget = trace.len() >= runner.max_steps;
+            // The action taken, if any, and where the cursor goes after it.
+            let (taken, next) = match view {
                 crate::ScriptStep::Inject(a) => {
                     assert_eq!(
                         system.classify(&a),
                         Some(ActionClass::Input),
                         "scripted action {a} is not an input of the system"
                     );
-                    if trace.len() >= runner.max_steps {
+                    if at_budget {
                         self.fully_ran = false;
                         self.cursor = Cursor::Halted;
-                        return false;
+                        return None;
                     }
-                    let ok = take(runner, system, trace, digest, a, metrics, online);
-                    assert!(ok, "input {a} was not enabled: system is not input-enabled");
-                    self.cursor = Cursor::At {
+                    let taken = take(runner, system, trace, digest, a, metrics, online);
+                    assert!(
+                        taken.is_some(),
+                        "input {a} was not enabled: system is not input-enabled"
+                    );
+                    let next = Cursor::At {
                         step: step + 1,
                         local_left: None,
                     };
-                    if tripped(online) {
-                        self.fully_ran = false;
-                        self.cursor = Cursor::Halted;
-                    }
-                    return true;
+                    (taken, next)
                 }
-                crate::ScriptStep::Local(n) => {
-                    let left = local_left.unwrap_or(n);
-                    if left == 0
-                        || trace.len() >= runner.max_steps
-                        || !fair_local_step(
+                crate::ScriptStep::Local(n) => match local_left.unwrap_or(n) {
+                    left if left == 0 || at_budget => (None, self.cursor),
+                    left => {
+                        let taken = fair_local_step(
                             runner, system, trace, digest, next_task, metrics, online, scratch,
-                        )
-                    {
-                        self.cursor = Cursor::At {
-                            step: step + 1,
-                            local_left: None,
+                        );
+                        let next = Cursor::At {
+                            step,
+                            local_left: Some(left - 1),
                         };
-                        continue;
+                        (taken, next)
                     }
-                    self.cursor = Cursor::At {
-                        step,
-                        local_left: Some(left - 1),
-                    };
-                    if tripped(online) {
-                        self.fully_ran = false;
-                        self.cursor = Cursor::Halted;
-                    }
-                    return true;
+                },
+                crate::ScriptStep::Settle if at_budget => {
+                    self.fully_ran = false;
+                    (None, self.cursor)
                 }
                 crate::ScriptStep::Settle => {
-                    if trace.len() >= runner.max_steps {
-                        self.fully_ran = false;
-                        self.cursor = Cursor::At {
-                            step: step + 1,
-                            local_left: None,
-                        };
-                        continue;
-                    }
-                    if !fair_local_step(
+                    let taken = fair_local_step(
                         runner, system, trace, digest, next_task, metrics, online, scratch,
-                    ) {
-                        self.cursor = Cursor::At {
-                            step: step + 1,
-                            local_left: None,
-                        };
-                        continue;
-                    }
-                    if tripped(online) {
-                        self.fully_ran = false;
-                        self.cursor = Cursor::Halted;
-                    }
-                    return true;
+                    );
+                    (taken, self.cursor)
                 }
+            };
+            if taken.is_none() {
+                self.cursor = Cursor::At {
+                    step: step + 1,
+                    local_left: None,
+                };
+                continue;
             }
+            self.cursor = next;
+            if self.online_violation().is_some() {
+                self.fully_ran = false;
+                self.cursor = Cursor::Halted;
+            }
+            return taken;
         }
     }
 
@@ -791,7 +767,7 @@ where
     /// quantum.
     pub fn advance_batch(&mut self, budget: usize) -> usize {
         let mut taken = 0;
-        while taken < budget && self.advance() {
+        while taken < budget && self.advance().is_some() {
             taken += 1;
         }
         taken
@@ -799,7 +775,7 @@ where
 
     /// Drives the session to completion.
     pub fn run_to_end(&mut self) {
-        while self.advance() {}
+        while self.advance().is_some() {}
     }
 
     /// `true` once the run is over (no further [`SessionStep::advance`]
@@ -839,13 +815,6 @@ where
     #[must_use]
     pub fn monitor(&self) -> Option<&TraceMonitor> {
         self.online.as_ref().map(|o| &o.monitor)
-    }
-
-    /// Scratch-buffer capacity growths so far (see
-    /// [`RunReport::scratch_refills`]).
-    #[must_use]
-    pub fn scratch_refills(&self) -> u64 {
-        self.scratch.refills
     }
 
     /// `true` if the run ended quiescent with the script fully consumed.
@@ -936,8 +905,8 @@ where
     }
 }
 
-/// Takes one fair locally-controlled step; returns `false` if none is
-/// enabled. Free-standing so [`SessionStep::advance`] can borrow its
+/// Takes one fair locally-controlled step and returns its action; `None`
+/// if none is enabled. Free-standing so [`SessionStep::advance`] can borrow its
 /// fields disjointly.
 #[allow(clippy::too_many_arguments)]
 fn fair_local_step<M>(
@@ -949,7 +918,7 @@ fn fair_local_step<M>(
     metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
     scratch: &mut Scratch,
-) -> bool
+) -> Option<DlAction>
 where
     M: Automaton<Action = DlAction>,
 {
@@ -961,7 +930,7 @@ where
     });
     scratch.refills += u64::from(scratch.enabled.capacity() != cap);
     if scratch.enabled.is_empty() {
-        return false;
+        return None;
     }
     let tasks = system.task_count().max(1);
     for offset in 0..tasks {
@@ -982,16 +951,17 @@ where
         let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
         let action = scratch.in_class[pick];
         let took = take(runner, system, trace, digest, action, metrics, online);
-        debug_assert!(took, "enabled_local returned a disabled action");
+        debug_assert!(took.is_some(), "enabled_local returned a disabled action");
         *next_task = (*next_task + offset + 1) % tasks;
         return took;
     }
-    false
+    None
 }
 
 /// Takes `action`, stamping a fresh uid if it is an unstamped `send_pkt`,
 /// and resolving successor nondeterminism with the seeded RNG: the one
-/// chosen successor is applied to the session state in place.
+/// chosen successor is applied to the session state in place. Returns
+/// the stamped action, or `None` when it is disabled.
 fn take<M>(
     runner: &mut Runner,
     system: &M,
@@ -1000,7 +970,7 @@ fn take<M>(
     mut action: DlAction,
     metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
-) -> bool
+) -> Option<DlAction>
 where
     M: Automaton<Action = DlAction>,
 {
@@ -1014,14 +984,14 @@ where
         Some(runner.decide(DecisionPoint::Successor, n))
     });
     if !stepped {
-        return false;
+        return None;
     }
     metrics.record(&action);
     if let Some(o) = online {
         o.observe(&action);
     }
     *digest = digest_action(*digest, &action);
-    true
+    Some(action)
 }
 
 #[cfg(test)]
